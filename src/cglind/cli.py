@@ -26,8 +26,9 @@ multiline values indented).  A minimal heat-bath run::
     csv = run.csv
     json = run.json
 
-Custom models inline their matrices in the interchange format (first
-line "rows cols", then row-major "re im" pairs)::
+``kind`` is ``qfgr`` or ``heat_bath``.  Models without a preset inline
+their matrices in the interchange format (first line "rows cols", then
+row-major "re im" pairs)::
 
     [scenario]
     kind = qfgr
@@ -55,15 +56,15 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import __version__
 from .coarsegrain import CoarseGrainSchedule
-from .generator import evolve, expm, qds_certificate, steady_state
-from .linalg import choi_matrix, is_psd, matrix_from_text
+from .generator import evolve, qds_certificate, steady_state
+from .linalg import choi_matrix, expm, is_psd, matrix_from_text
 from .scenarios import (
     PRESETS,
     HeatBathModel,
@@ -140,9 +141,9 @@ def parse_config(path: str) -> ScenarioConfig:
             return None
 
     kind = need("scenario", "kind")
-    if kind is not None and kind not in ("qfgr", "heat_bath", "custom"):
+    if kind is not None and kind not in ("qfgr", "heat_bath"):
         issues.append(("[scenario].kind",
-                       f"kind must be qfgr, heat_bath or custom, got {kind!r}"))
+                       f"kind must be qfgr or heat_bath, got {kind!r}"))
     preset = need("scenario", "preset", required=False)
     if preset is not None and preset not in PRESETS:
         issues.append(("[scenario].preset",
@@ -152,8 +153,8 @@ def parse_config(path: str) -> ScenarioConfig:
     sector_dims = None
     matrices: Dict[str, np.ndarray] = {}
     beta = None
-    if preset is None and kind in ("qfgr", "heat_bath", "custom"):
-        if kind in ("qfgr", "custom"):
+    if preset is None and kind in ("qfgr", "heat_bath"):
+        if kind == "qfgr":
             raw = need("scenario", "sector_dims")
             if raw is not None:
                 try:
@@ -196,7 +197,7 @@ def parse_config(path: str) -> ScenarioConfig:
                                    "sweepable limit 32"))
     elif preset is not None:
         preset_kind = PRESETS[preset].kind
-        if kind not in (preset_kind, "custom"):
+        if kind != preset_kind:
             issues.append(("[scenario].kind",
                            f"preset {preset!r} is a {preset_kind} scenario"))
         kind = preset_kind
@@ -258,7 +259,7 @@ def _build_model(cfg: ScenarioConfig, lam: float):
     if cfg.preset is not None:
         model = PRESETS[cfg.preset].builder(lam)
         return replace(model, schedule=sched)
-    if cfg.kind in ("qfgr", "custom"):
+    if cfg.kind == "qfgr":
         return QfgrModel(sector_dims=cfg.sector_dims, H0=cfg.matrices["h0"],
                          Hp=cfg.matrices["hp"], schedule=sched)
     return HeatBathModel(H_A=cfg.matrices["h_a"], H_B=cfg.matrices["h_b"],
@@ -286,10 +287,9 @@ class RunReport:
     results: List[LambdaResult]
     gibbs_distances: Optional[list]
     wall_clock_s: float
-    failures: List[str] = field(default_factory=list)
 
     def passed(self) -> bool:
-        return not self.failures and all(not r.failures for r in self.results)
+        return all(not r.failures for r in self.results)
 
 
 def _times_for(cfg: ScenarioConfig, lam: float) -> np.ndarray:
@@ -308,7 +308,7 @@ def _run_lambda(cfg: ScenarioConfig, lam: float) -> LambdaResult:
     failures: List[str] = []
     extras: dict = {}
 
-    if cfg.kind in ("qfgr", "custom"):
+    if cfg.kind == "qfgr":
         model = _build_model(cfg, lam)
         qgen = qfgr_generator(model)
         bundle = qgen.bundle
@@ -398,7 +398,6 @@ def run_config(cfg: ScenarioConfig, config_path: str,
         results = [_run_lambda(cfg, lam) for lam in cfg.lambdas]
 
     gibbs = None
-    top_failures: List[str] = []
     if cfg.kind == "heat_bath":
         model = _build_model(cfg, cfg.lambdas[0])
         if abs(bath_correlation(model).mean) <= 1e-10:
@@ -406,13 +405,10 @@ def run_config(cfg: ScenarioConfig, config_path: str,
             gibbs = [{"lambda": r.lam, "distance": r.distance,
                       "nullspace_dim": r.nullspace_dim,
                       "flagged": bool(r.flagged)} for r in rows]
-        else:
-            gibbs = None
 
     return RunReport(config_path=config_path, kind=cfg.kind, results=results,
                      gibbs_distances=gibbs,
-                     wall_clock_s=time.monotonic() - t0,
-                     failures=top_failures)
+                     wall_clock_s=time.monotonic() - t0)
 
 
 def _write_csv(path: str, report: RunReport) -> None:
@@ -520,8 +516,6 @@ def main(argv=None) -> int:
             for msg in res.failures:
                 print(f"invariant failure (lambda={res.lam}): {msg}",
                       file=sys.stderr)
-        for msg in report.failures:
-            print(f"invariant failure: {msg}", file=sys.stderr)
         return 1
     print(f"ok: {len(report.results)} coupling values, "
           f"results in {out_dir}")

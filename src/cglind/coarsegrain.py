@@ -35,6 +35,7 @@ __all__ = [
     "coarse_grained_L_quadrature",
     "pv_gaussian",
     "pv_gaussian_quadrature",
+    "pv_shift_eigenbasis",
     "lamb_shift",
 ]
 
@@ -166,17 +167,37 @@ def pv_gaussian_quadrature(mu: float, a: float, delta: float | None = None) -> f
     return 2.0 * fine - coarse
 
 
+def pv_shift_eigenbasis(eps: np.ndarray, V_eig: np.ndarray, T: float,
+                        omega: float) -> np.ndarray:
+    """Eigenbasis matrix of the positive principal-value shift integral
+    of a perturbation with eigenbasis entries V_mn, window translated
+    by ``omega``:
+
+        S[n, q] = (T / sqrt(pi)) * exp(-T^2 (eps_q - eps_n)^2 / 4)
+                  * sum_m conj(V_mn) V_mq
+                    * pv_gaussian(eps_m - (eps_n + eps_q)/2 - omega, T^2).
+
+    The (n, q, m) term tensor is reduced over m along its contiguous
+    last axis, so every entry is summed in the order of a 1-d sum.
+    """
+    a = T * T
+    pref = (T / np.sqrt(np.pi)) \
+        * np.exp(-0.25 * a * np.subtract.outer(eps, eps).T ** 2)
+    mid = eps[None, None, :] - 0.5 * (eps[:, None, None] + eps[None, :, None]) \
+        - omega
+    Vt = np.ascontiguousarray(V_eig.T)  # keeps the term tensor C-ordered
+    terms = (np.conj(Vt)[:, None, :] * Vt[None, :, :]) * pv_gaussian(mid, a)
+    return pref * np.sum(terms, axis=-1)
+
+
 def lamb_shift(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
                subsystem: PhysicalSubsystem) -> np.ndarray:
     """Second-order Hamiltonian correction
 
         PV int dw / (2 pi w) < C(w)† C(w) >,   C(w) = L(w) - <L(w)>,
 
-    evaluated in closed form: writing V = H' - <H'> with eigenbasis
-    entries V_mn, each (n, q) element is a sum over m of
-
-        (T / sqrt(pi)) * exp(-T^2 (eps_q - eps_n)^2 / 4)
-        * pv_gaussian(eps_m - (eps_n + eps_q)/2, T^2) * conj(V_mn) V_mq.
+    evaluated in closed form by :func:`pv_shift_eigenbasis` (at
+    omega = 0) on the eigenbasis entries of V = H' - <H'>.
 
     Requires the free evolution to commute with the projection (checked
     by the generator builder).  The result is Hermitian and lies in the
@@ -187,20 +208,9 @@ def lamb_shift(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
     Hp = require_hermitian(Hp, "Hp")
     U = h0_eig.vectors
     eps = h0_eig.values
-    d = len(eps)
     V = Hp - subsystem.project(Hp)
     V_eig = U.conj().T @ V @ U
-
-    S_pre = np.zeros((d, d), dtype=complex)
-    a = T * T
-    for n in range(d):
-        for q in range(d):
-            col = np.conj(V_eig[:, n]) * V_eig[:, q]
-            if not np.any(col):
-                continue
-            mid = eps - 0.5 * (eps[n] + eps[q])
-            pref = (T / np.sqrt(np.pi)) * np.exp(-0.25 * a * (eps[q] - eps[n]) ** 2)
-            S_pre[n, q] = pref * np.sum(col * pv_gaussian(mid, a))
+    S_pre = pv_shift_eigenbasis(eps, V_eig, T, 0.0)
     shift = subsystem.project(U @ S_pre @ U.conj().T)
 
     herm_dev = max_abs(shift - shift.conj().T)

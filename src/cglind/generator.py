@@ -54,6 +54,7 @@ __all__ = [
     "Trajectory",
     "QdsCertificate",
     "SteadyStateResult",
+    "lindblad_superop",
     "assemble_kt",
     "build_generator",
     "k_t_oracle",
@@ -90,6 +91,32 @@ class GeneratorBundle:
     T: float
     _quotient_schrodinger: Optional[np.ndarray] = field(default=None, repr=False)
 
+    @classmethod
+    def from_decomposition(cls, dec: LindbladDecomposition,
+                           sched: CoarseGrainSchedule, sub: PhysicalSubsystem,
+                           T: float) -> "GeneratorBundle":
+        """Assemble the Heisenberg generator from its Lindblad pieces and
+        pair it with its Schrödinger dual.
+
+        Psi(1) = A and unitality G(1) = 0 are asserted at 1e-10 relative
+        (to the decay and the generator max entries)."""
+        heis = lindblad_superop(dec.effective_hamiltonian(), dec.decay,
+                                dec.jump_map)
+        d = sub.dim
+        eye_vec = vectorize(np.eye(d))
+        scale = 1.0 + max_abs(dec.decay)
+        psi_unit_dev = max_abs(devectorize(dec.jump_map @ eye_vec, d) - dec.decay)
+        if psi_unit_dev > 1e-10 * scale:
+            raise ValueError(
+                f"jump map violates Psi(1) = A: defect {psi_unit_dev:.3e}")
+        unital_dev = max_abs(heis @ eye_vec)
+        if unital_dev > 1e-10 * (1.0 + max_abs(heis)):
+            raise ValueError(
+                f"generator is not unital: ||G(1)||_max = {unital_dev:.3e}")
+        return cls(decomposition=dec, heisenberg=heis,
+                   schrodinger=trace_pairing_adjoint(heis),
+                   schedule=sched, subsystem=sub, T=T)
+
     @property
     def dim(self) -> int:
         return self.subsystem.dim
@@ -121,6 +148,13 @@ class GeneratorBundle:
         return B.conj().T @ P @ self.schrodinger @ B, B
 
 
+def lindblad_superop(hamiltonian: np.ndarray, decay: np.ndarray,
+                     jump: np.ndarray) -> np.ndarray:
+    """Heisenberg superoperator X -> i[H, X] - (1/2){decay, X} + jump(X)."""
+    return 1j * commutator_superop(hamiltonian) \
+        - 0.5 * anticommutator_superop(decay) + jump
+
+
 def assemble_kt(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
     """Second-order superoperator K_T (no coupling factors) together
     with its pieces (hamiltonian shift, decay, jump map).
@@ -138,9 +172,7 @@ def assemble_kt(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
     decay = hermitize(sub.project(W @ W))
     jump = sub.heisenberg @ sandwich_superop(W, W)
     shift = -lamb_shift(h0_eig, Hp, T, sub)
-    K = 1j * commutator_superop(shift) \
-        - 0.5 * anticommutator_superop(decay) + jump
-    return K, shift, decay, jump
+    return lindblad_superop(shift, decay, jump), shift, decay, jump
 
 
 def build_generator(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
@@ -177,27 +209,7 @@ def build_generator(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
         decay=lam2 * decay,
         jump_map=lam2 * jump,
     )
-    heis = 1j * commutator_superop(dec.effective_hamiltonian()) \
-        - 0.5 * anticommutator_superop(dec.decay) + dec.jump_map
-
-    d = sub.dim
-    eye_vec = vectorize(np.eye(d))
-    scale = 1.0 + max_abs(dec.decay)
-    psi_unit_dev = max_abs(devectorize(dec.jump_map @ eye_vec, d) - dec.decay)
-    if psi_unit_dev > 1e-10 * scale:
-        raise ValueError(f"jump map violates Psi(1) = A: defect {psi_unit_dev:.3e}")
-    unital_dev = max_abs(heis @ eye_vec)
-    if unital_dev > 1e-10 * (1.0 + max_abs(heis)):
-        raise ValueError(f"generator is not unital: ||G(1)||_max = {unital_dev:.3e}")
-
-    return GeneratorBundle(
-        decomposition=dec,
-        heisenberg=heis,
-        schrodinger=trace_pairing_adjoint(heis),
-        schedule=sched,
-        subsystem=sub,
-        T=T,
-    )
+    return GeneratorBundle.from_decomposition(dec, sched, sub, T)
 
 
 def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,6 @@ __all__ = [
     "image_basis",
     "matrix_to_text",
     "matrix_from_text",
-    "write_matrix",
-    "read_matrix",
 ]
 
 # Default tolerances: structural identities are checked at 1e-10
@@ -60,6 +58,11 @@ __all__ = [
 HERMITICITY_RTOL = 1e-12
 STRUCTURAL_TOL = 1e-10
 PSD_SLACK = 1e-9
+
+# Taylor core of expm: series order and the 1-norm the argument is
+# scaled below.
+EXPM_TAYLOR_ORDER = 18
+EXPM_SCALE_TARGET = 0.5
 
 
 def max_abs(M: np.ndarray) -> float:
@@ -139,29 +142,28 @@ def hermitian_eig(M: np.ndarray, name: str = "matrix") -> EigenSystem:
     return EigenSystem(values=values.real, vectors=vectors)
 
 
-def expm(M: np.ndarray, taylor_order: int = 18,
-         scale_target: float = 0.5) -> np.ndarray:
+def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a fixed-order
     Taylor core.
 
     The argument is scaled by 2**s until its 1-norm is below
-    ``scale_target``, the series is evaluated by Horner's rule at order
-    ``taylor_order`` (remainder < 1e-22 at norm 0.5), and the result is
-    squared s times.  Accurate to ~1e-12 relative for the norm ranges
-    used here (dims <= 64, ||M|| <~ 1e3).
+    ``EXPM_SCALE_TARGET``, the series is evaluated by Horner's rule at
+    order ``EXPM_TAYLOR_ORDER`` (remainder < 1e-22 at norm 0.5), and the
+    result is squared s times.  Accurate to ~1e-12 relative for the norm
+    ranges used here (dims <= 64, ||M|| <~ 1e3).
     """
     M = require_square(M, "expm argument")
     d = M.shape[0]
     norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if d else 0.0
     if norm1 == 0.0:
         return np.eye(d, dtype=complex)
-    n_square = max(0, int(math.ceil(math.log2(norm1 / scale_target))))
+    n_square = max(0, int(math.ceil(math.log2(norm1 / EXPM_SCALE_TARGET))))
     if n_square > 64:
         raise ValueError(f"expm argument norm {norm1:.3e} too large to scale")
     B = M / (2.0 ** n_square)
     eye = np.eye(d, dtype=complex)
     acc = eye.copy()
-    for k in range(taylor_order, 0, -1):
+    for k in range(EXPM_TAYLOR_ORDER, 0, -1):
         acc = eye + (B @ acc) / k
     for _ in range(n_square):
         acc = acc @ acc
@@ -231,20 +233,16 @@ def trace_pairing_adjoint(M: np.ndarray) -> np.ndarray:
 def choi_matrix(S: np.ndarray) -> np.ndarray:
     """Choi matrix C = sum_ij E_ij kron S(E_ij) of a superoperator.
 
-    S is completely positive iff C is positive semidefinite.
+    S is completely positive iff C is positive semidefinite.  Under
+    column stacking, block (i, j) entry (a, b) of C is S[b d + a, j d + i],
+    so C is an index permutation of S (no matrix-vector products).
     """
+    S = np.asarray(S, dtype=complex)
     dd = S.shape[0]
     d = math.isqrt(dd)
     if d * d != dd or S.shape != (dd, dd):
         raise ValueError(f"not a superoperator shape: {S.shape}")
-    C = np.zeros((dd, dd), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            block = devectorize(S @ vectorize(unit), d)
-            C[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-    return C
+    return S.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(dd, dd)
 
 
 class PsdResult(NamedTuple):
@@ -332,19 +330,3 @@ def matrix_from_text(text: str) -> np.ndarray:
         raise ValueError("matrix body contains non-finite entries")
     flat = vals[0::2] + 1j * vals[1::2]
     return flat.reshape(rows, cols)
-
-
-def write_matrix(target: Union[str, TextIO], M: np.ndarray) -> None:
-    text = matrix_to_text(M)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
-def read_matrix(source: Union[str, TextIO]) -> np.ndarray:
-    if hasattr(source, "read"):
-        return matrix_from_text(source.read())
-    with open(source, "r", encoding="ascii") as fh:
-        return matrix_from_text(fh.read())

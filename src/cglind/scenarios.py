@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda, coarse_grained_L, \
-    pv_gaussian
+    lamb_shift, pv_shift_eigenbasis
 from .generator import GeneratorBundle, LindbladDecomposition, build_generator, \
     steady_state
 from .linalg import (
@@ -45,7 +45,6 @@ from .linalg import (
     require_hermitian,
     sandwich_superop,
     trace_distance,
-    trace_pairing_adjoint,
     vectorize,
 )
 from .subsystem import PhysicalSubsystem, build_projection, partial_trace_family, \
@@ -161,7 +160,6 @@ def qfgr_generator(m: QfgrModel, verify: bool = True,
             if src != dst:
                 amplitudes[(src, dst)] = projs[dst] @ L @ projs[src]
 
-    from .coarsegrain import lamb_shift
     shift_add = -lamb_shift(eig, m.Hp, T, sub)
     shifts = [P @ shift_add @ P for P in projs]
 
@@ -302,10 +300,6 @@ class CorrelationData:
                       axis=0) if t.ndim else np.sum(
             self.weights * np.exp(1j * self.frequencies * float(t)))
 
-    def h_connected(self, t):
-        return np.sum(self.connected_weights
-                      * np.exp(1j * self.frequencies * float(t)))
-
 
 def bath_correlation(m: HeatBathModel,
                      merge_tol: float = 1e-10) -> CorrelationData:
@@ -375,8 +369,10 @@ def heat_bath_generator(m: HeatBathModel) -> GeneratorBundle:
     the frequency integral becomes an exact sum over spectral lines of
     dissipators built from the frequency-translated coarse-grained
     system operators Q_w; the zero line carries the connected
-    subtraction, and the inner principal-value integral reduces to the
-    Gaussian Hilbert transform.  First-order term: i * mean * [Q, .].
+    subtraction, and the inner principal-value integral of each line is
+    the shared kernel :func:`pv_shift_eigenbasis` (the one behind
+    :func:`lamb_shift`) with the window translated by the line frequency.
+    First-order term: i * mean * [Q, .].
     """
     lam = m.schedule.lam
     if lam == 0.0:
@@ -393,24 +389,13 @@ def heat_bath_generator(m: HeatBathModel) -> GeneratorBundle:
     decay = np.zeros((dA, dA), dtype=complex)
     jump = np.zeros((dA * dA, dA * dA), dtype=complex)
     shift_pos = np.zeros((dA, dA), dtype=complex)
-    a = T * T
-    pref_gap = np.exp(-0.25 * a * np.subtract.outer(eps, eps) ** 2)
     for wk, ck in zip(corr.frequencies, corr.connected_weights):
         if abs(ck) <= 1e-15 * weight_scale:
             continue
         Qw = coarse_grained_L(eigA, m.Q, T, wk).matrix
         decay += ck * (Qw.conj().T @ Qw)
         jump += ck * sandwich_superop(Qw.conj().T, Qw)
-        # inner PV integral in the eigenbasis, midpoint shifted by wk
-        S_pre = np.zeros((dA, dA), dtype=complex)
-        for n in range(dA):
-            for q in range(dA):
-                col = np.conj(Q_eig[:, n]) * Q_eig[:, q]
-                if not np.any(col):
-                    continue
-                mid = eps - 0.5 * (eps[n] + eps[q]) - wk
-                S_pre[n, q] = (T / np.sqrt(np.pi)) * pref_gap[q, n] \
-                    * np.sum(col * pv_gaussian(mid, a))
+        S_pre = pv_shift_eigenbasis(eps, Q_eig, T, wk)
         shift_pos += ck * (U @ S_pre @ U.conj().T)
 
     decay = hermitize(decay)
@@ -424,22 +409,7 @@ def heat_bath_generator(m: HeatBathModel) -> GeneratorBundle:
         decay=lam2 * decay,
         jump_map=lam2 * jump,
     )
-    heis = 1j * commutator_superop(dec.effective_hamiltonian()) \
-        - 0.5 * anticommutator_superop(dec.decay) + dec.jump_map
-
-    eye_vec = vectorize(np.eye(dA))
-    psi_dev = max_abs(devectorize(dec.jump_map @ eye_vec, dA) - dec.decay)
-    if psi_dev > 1e-10 * (1.0 + max_abs(dec.decay)):
-        raise ValueError(f"line-sum jump map violates Psi(1) = A: {psi_dev:.3e}")
-
-    return GeneratorBundle(
-        decomposition=dec,
-        heisenberg=heis,
-        schrodinger=trace_pairing_adjoint(heis),
-        schedule=m.schedule,
-        subsystem=sub,
-        T=T,
-    )
+    return GeneratorBundle.from_decomposition(dec, m.schedule, sub, T)
 
 
 def general_heat_bath_bundle(m: HeatBathModel) -> GeneratorBundle:

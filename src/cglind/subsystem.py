@@ -286,11 +286,6 @@ def sector_family(sector_dims: Sequence[int]) -> KrausFamily:
     return KrausFamily(ops)
 
 
-def sector_projectors(sector_dims: Sequence[int]) -> list:
-    """The block projectors themselves, in order."""
-    return sector_family(sector_dims).operators
-
-
 def trivial_family(dim: int) -> KrausFamily:
     """Identity Kraus family; the projection is the identity map and the
     subsystem is the full matrix algebra."""

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -80,6 +81,31 @@ json = gibbs.json
 """
 
 
+# One short run per preset; the CSVs under tests/golden/ pin every byte.
+GOLDEN_RUNS = {
+    "two-sector-qubit": ("qfgr", "0.5 0.25",
+                         "mode = explicit\nstart = 0.0\nstop = 6.0\ncount = 4"),
+    "qfgr-two-blocks": ("qfgr", "0.35",
+                        "mode = explicit\nstart = 0.0\nstop = 5.0\ncount = 3"),
+    "heat-bath-qutrit": ("heat_bath", "0.45",
+                         "mode = explicit\nstart = 0.0\nstop = 5.0\ncount = 3"),
+    "qubit-gibbs": ("heat_bath", "0.3",
+                    "mode = explicit\nstart = 0.0\nstop = 5.0\ncount = 3"),
+    "quasi-continuum": ("heat_bath", "0.3",
+                        "mode = auto\ntau_bar = 0.2\ncount = 3"),
+}
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def golden_config(preset):
+    kind, lambdas, time_section = GOLDEN_RUNS[preset]
+    return (f"[scenario]\nkind = {kind}\npreset = {preset}\n\n"
+            f"[schedule]\nlambda = {lambdas}\nxi = 1.0\nt_ref = 1.0\n\n"
+            f"[time]\n{time_section}\n\n"
+            f"[run]\nseed = 0\n\n"
+            f"[output]\ncsv = {preset}.csv\njson = {preset}.json\n")
+
+
 def write_config(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -122,6 +148,12 @@ class TestValidate:
             "preset = two-sector-qubit", "preset = nope"))
         assert main(["validate", cfg]) == 2
         assert "preset" in capsys.readouterr().err
+
+    def test_custom_kind_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, INLINE_QFGR.replace(
+            "kind = qfgr", "kind = custom"))
+        assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 2
+        assert "[scenario].kind" in capsys.readouterr().err
 
     def test_parse_config_collects_issues(self, tmp_path):
         cfg = write_config(tmp_path, BASE_QFGR
@@ -186,6 +218,15 @@ class TestRun:
         monkeypatch.setenv("CGLIND_OUT_DIR", str(target))
         assert main(["run", cfg]) == 0
         assert (target / "out.csv").exists()
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_RUNS))
+def test_csv_matches_golden(tmp_path, preset):
+    cfg = write_config(tmp_path, golden_config(preset), f"{preset}.ini")
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "run", cfg]) == 0
+    with open(os.path.join(GOLDEN_DIR, f"{preset}.csv"), "rb") as fh:
+        assert (out / f"{preset}.csv").read_bytes() == fh.read()
 
 
 class TestPresets:

@@ -11,6 +11,7 @@ from cglind.coarsegrain import (
     lamb_shift,
     pv_gaussian,
     pv_gaussian_quadrature,
+    pv_shift_eigenbasis,
 )
 from cglind.linalg import hermitian_eig, max_abs
 from cglind.subsystem import build_projection, sector_family
@@ -142,6 +143,35 @@ class TestPvGaussian:
             pv_gaussian(1.0, 0.0)
         with pytest.raises(ValueError, match="positive"):
             pv_gaussian_quadrature(1.0, -1.0)
+
+
+class TestPvShiftKernel:
+    @staticmethod
+    def loop_reference(eps, V, T, omega):
+        # one (n, q) entry at a time, each a 1-d sum over m
+        d = len(eps)
+        a = T * T
+        pref_gap = np.exp(-0.25 * a * np.subtract.outer(eps, eps) ** 2)
+        S = np.zeros((d, d), dtype=complex)
+        for n in range(d):
+            for q in range(d):
+                col = np.conj(V[:, n]) * V[:, q]
+                if not np.any(col):
+                    continue
+                mid = eps - 0.5 * (eps[n] + eps[q]) - omega
+                S[n, q] = (T / np.sqrt(np.pi)) * pref_gap[q, n] \
+                    * np.sum(col * pv_gaussian(mid, a))
+        return S
+
+    @pytest.mark.parametrize("d, omega", [(1, 0.0), (3, 0.7), (8, 0.0),
+                                          (27, -0.4)])
+    def test_matches_loop_exactly(self, rng, d, omega):
+        eps = np.sort(rng.standard_normal(d))
+        V = random_hermitian(rng, d)
+        V[:, 0] = 0.0  # an all-zero column is skipped by the loop
+        T = 1.7
+        got = pv_shift_eigenbasis(eps, V, T, omega)
+        assert np.array_equal(got, self.loop_reference(eps, V, T, omega))
 
 
 def lamb_pv_oracle(eig, Hp, T, sub, n=1501, delta=4e-3):

@@ -154,6 +154,23 @@ class TestChoi:
             S = sum(sandwich_superop(V.conj().T, V) for V in ops)
             assert is_psd(choi_matrix(S)).ok
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_permutation_matches_unit_sum(self, rng, d):
+        # reference: C = sum_ij E_ij kron S(E_ij), one block per unit matrix
+        dd = d * d
+        S = rng.standard_normal((dd, dd)) + 1j * rng.standard_normal((dd, dd))
+        ref = np.zeros((dd, dd), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[i, j] = 1.0
+                ref[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
+                    devectorize(S @ vectorize(unit), d)
+        C = choi_matrix(S)
+        if d > 1:  # a random superoperator is not completely positive
+            assert not is_psd(C).ok
+        assert np.array_equal(C, ref)
+
 
 class TestIsPsd:
     def test_identity(self):
