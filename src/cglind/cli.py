@@ -63,7 +63,8 @@ import numpy as np
 
 from . import __version__
 from .coarsegrain import CoarseGrainSchedule
-from .generator import evolve, qds_certificate, steady_state
+from .generator import SteadyStateResult, build_generator, evolve, \
+    qds_certificate, steady_state
 from .linalg import choi_matrix, expm, is_psd, matrix_from_text
 from .scenarios import (
     PRESETS,
@@ -71,12 +72,14 @@ from .scenarios import (
     QfgrModel,
     bath_correlation,
     dual_path_residual,
-    general_heat_bath_bundle,
-    gibbs_limit_study,
+    first_order_vanishes,
+    gibbs_row,
+    gibbs_state,
     heat_bath_generator,
     projected_error_curve,
     qfgr_generator,
 )
+from .subsystem import PhysicalSubsystem, build_projection, partial_trace_family
 
 __all__ = ["main", "run_config", "validate_config", "ScenarioConfig", "RunReport"]
 
@@ -278,6 +281,7 @@ class LambdaResult:
     certificate: dict
     extras: dict
     failures: List[str]
+    steady: Optional[SteadyStateResult] = None
 
 
 @dataclass
@@ -303,13 +307,15 @@ def _choi_min_curve(schrodinger: np.ndarray, times) -> np.ndarray:
                      for t in times])
 
 
-def _run_lambda(cfg: ScenarioConfig, lam: float) -> LambdaResult:
+def _run_lambda(cfg: ScenarioConfig, lam: float,
+                sub: Optional[PhysicalSubsystem]) -> LambdaResult:
     times = _times_for(cfg, lam)
     failures: List[str] = []
     extras: dict = {}
+    ss = None
+    model = _build_model(cfg, lam)
 
     if cfg.kind == "qfgr":
-        model = _build_model(cfg, lam)
         qgen = qfgr_generator(model)
         bundle = qgen.bundle
         extras["sector_residual"] = qgen.residual_vs_general
@@ -325,29 +331,24 @@ def _run_lambda(cfg: ScenarioConfig, lam: float) -> LambdaResult:
         rho0 = sub.project_state(rho0)
         rho0 = rho0 / np.trace(rho0).real
         traj = evolve(bundle, rho0, times)
-        if d <= FULL_CHOI_DIM_LIMIT:
-            choi_min = _choi_min_curve(bundle.schrodinger, times)
-        else:
-            choi_min = _choi_min_curve(bundle.restricted_schrodinger()[0], times)
-        state_bundle = bundle
+        # parse_config caps sector scenarios at FULL_CHOI_DIM_LIMIT
+        choi_min = _choi_min_curve(bundle.schrodinger, times)
     else:
-        model = _build_model(cfg, lam)
+        H0, Hp = model.full_hamiltonian_parts()
         spec_bundle = heat_bath_generator(model)
-        gen_bundle = general_heat_bath_bundle(model)
+        gen_bundle = build_generator(sub, H0, Hp, model.schedule)
         residual = dual_path_residual(model, general=gen_bundle,
                                       specialized=spec_bundle)
         extras["dual_path_residual"] = residual
         if residual > 1e-7:
             failures.append(f"dual-path generator mismatch: {residual:.3e}")
-        errors = projected_error_curve(
-            gen_bundle.subsystem, *model.full_hamiltonian_parts(),
-            model.schedule, times, bundle=gen_bundle)
+        errors = projected_error_curve(sub, H0, Hp, model.schedule, times,
+                                       bundle=gen_bundle)
         dA = model.dim_A
         rho0 = np.zeros((dA, dA), dtype=complex)
         rho0[0, 0] = 1.0
         traj = evolve(spec_bundle, rho0, times)
-        full_dim = model.dim_A * model.dim_B
-        if full_dim <= FULL_CHOI_DIM_LIMIT:
+        if sub.dim <= FULL_CHOI_DIM_LIMIT:
             choi_min = _choi_min_curve(gen_bundle.schrodinger, times)
         else:
             # reduced channel on the system algebra
@@ -356,9 +357,8 @@ def _run_lambda(cfg: ScenarioConfig, lam: float) -> LambdaResult:
         extras["steady_state_nullspace_dim"] = ss.nullspace_dim
         extras["steady_state_flagged"] = bool(ss.flagged)
         bundle = spec_bundle
-        state_bundle = spec_bundle
 
-    cert = qds_certificate(state_bundle, CERTIFICATE_TIMES, rng=cfg.seed)
+    cert = qds_certificate(bundle, CERTIFICATE_TIMES, rng=cfg.seed)
     cert_dict = {
         "times": list(cert.times),
         "choi_min_eig": list(cert.choi_min_eig),
@@ -384,27 +384,34 @@ def _run_lambda(cfg: ScenarioConfig, lam: float) -> LambdaResult:
         trace_dev=traj.trace_dev,
         min_choi_eig=choi_min,
         min_state_eig=traj.min_eig,
-        certificate=cert_dict, extras=extras, failures=failures)
+        certificate=cert_dict, extras=extras, failures=failures, steady=ss)
 
 
 def run_config(cfg: ScenarioConfig, config_path: str,
                threads: int = 1) -> RunReport:
+    """Run every coupling; a heat-bath run builds its projection once."""
     t0 = time.monotonic()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda lam: _run_lambda(cfg, lam),
-                                    cfg.lambdas))
-    else:
-        results = [_run_lambda(cfg, lam) for lam in cfg.lambdas]
-
-    gibbs = None
+    sub = None
     if cfg.kind == "heat_bath":
         model = _build_model(cfg, cfg.lambdas[0])
-        if abs(bath_correlation(model).mean) <= 1e-10:
-            rows = gibbs_limit_study(model, cfg.lambdas)
-            gibbs = [{"lambda": r.lam, "distance": r.distance,
-                      "nullspace_dim": r.nullspace_dim,
-                      "flagged": bool(r.flagged)} for r in rows]
+        sub = build_projection(partial_trace_family(model.dim_A,
+                                                    model.bath_state()))
+        sub.image_bases()  # cached before the workers share the subsystem
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda lam: _run_lambda(cfg, lam, sub),
+                                    cfg.lambdas))
+    else:
+        results = [_run_lambda(cfg, lam, sub) for lam in cfg.lambdas]
+
+    gibbs = None
+    if cfg.kind == "heat_bath" and first_order_vanishes(
+            model, bath_correlation(model)):
+        target = gibbs_state(model.H_A, model.beta)
+        rows = [gibbs_row(r.lam, r.steady, target) for r in results]
+        gibbs = [{"lambda": g.lam, "distance": g.distance,
+                  "nullspace_dim": g.nullspace_dim,
+                  "flagged": bool(g.flagged)} for g in rows]
 
     return RunReport(config_path=config_path, kind=cfg.kind, results=results,
                      gibbs_distances=gibbs,

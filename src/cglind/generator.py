@@ -39,6 +39,7 @@ from .linalg import (
     is_psd,
     matrix_to_text,
     max_abs,
+    numerical_nullity,
     operator_norm,
     require_hermitian,
     sandwich_superop,
@@ -137,13 +138,13 @@ class GeneratorBundle:
         """(k x k matrix, basis) of the generator on an orthonormal basis
         of the observable image.  No re-projection is needed: the
         Heisenberg generator maps the image into itself exactly."""
-        B = self.subsystem.heisenberg_image_basis()
+        B = self.subsystem.image_bases()[0]
         return B.conj().T @ self.heisenberg @ B, B
 
     def restricted_schrodinger(self):
         """(k x k matrix, basis) of the quotient Schrödinger generator on
         an orthonormal basis of the state image."""
-        B = self.subsystem.schrodinger_image_basis()
+        B = self.subsystem.image_bases()[1]
         P = self.subsystem.schrodinger
         return B.conj().T @ P @ self.schrodinger @ B, B
 
@@ -437,20 +438,10 @@ def steady_state(bundle: GeneratorBundle, zero_tol: float = 1e-9,
     """
     s, B = bundle.restricted_schrodinger()
     _, svals, vh = np.linalg.svd(s)
-    smax = float(svals[0]) if svals.size else 0.0
-    if smax == 0.0:
-        null_mask = np.ones(len(svals), dtype=bool)
-    else:
-        null_mask = svals < zero_tol * smax
-    dim_null = int(np.sum(null_mask))
+    dim_null, gap = numerical_nullity(svals, zero_tol)
     if dim_null == 0:
         return SteadyStateResult(None, 0, 0.0, True,
                                  note="no nullspace found at tolerance")
-    if smax == 0.0 or dim_null == len(svals):
-        gap = np.inf
-    else:
-        gap = float(svals[~null_mask].min() / smax) \
-            - float(svals[null_mask].max() / smax)
     flagged = gap < gap_tol or dim_null > 1
     if dim_null > 1:
         return SteadyStateResult(None, dim_null, gap, True,

@@ -49,6 +49,7 @@ __all__ = [
     "trace_norm",
     "trace_distance",
     "image_basis",
+    "numerical_nullity",
     "matrix_to_text",
     "matrix_from_text",
 ]
@@ -282,14 +283,29 @@ def trace_distance(A: np.ndarray, B: np.ndarray) -> float:
     return 0.5 * trace_norm(np.asarray(A) - np.asarray(B))
 
 
-def image_basis(P: np.ndarray, zero_tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of a projection
-    superoperator, from its SVD."""
-    u, s, _ = np.linalg.svd(np.asarray(P, dtype=complex))
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
+def image_basis(P: np.ndarray, zero_tol: float = 1e-9) -> tuple:
+    """Orthonormal bases (columns) of the images of a projection
+    superoperator P and of its trace-pairing adjoint P* = T P.T T (T the
+    transpose map), from one SVD P = U S V†: U[:, :r] and T conj(V[:, :r])."""
+    u, s, vh = np.linalg.svd(np.asarray(P, dtype=complex))
     rank = int(np.sum(s > zero_tol * s[0]))
-    return u[:, :rank]
+    d = math.isqrt(u.shape[0])
+    v = vh[:rank].T.reshape(d, d, rank)
+    return u[:, :rank], v.transpose(1, 0, 2).reshape(d * d, rank)
+
+
+def numerical_nullity(svals: np.ndarray, zero_tol: float) -> tuple:
+    """(nullity, gap) from descending singular values.  Values below
+    ``zero_tol`` times the largest (all of them when it is 0) count as
+    zero; the gap is the relative distance from the largest zero value
+    (0 if none) to the smallest kept one (inf if none is kept)."""
+    smax = float(svals[0]) if svals.size else 0.0
+    null = svals < zero_tol * smax if smax > 0.0 else np.ones(len(svals), bool)
+    dim_null = int(np.sum(null))
+    if dim_null == len(svals):
+        return dim_null, np.inf
+    largest_zero = float(svals[null].max() / smax) if dim_null else 0.0
+    return dim_null, float(svals[~null].min() / smax) - largest_zero
 
 
 # ---------------------------------------------------------------------------

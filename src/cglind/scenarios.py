@@ -31,8 +31,8 @@ import numpy as np
 
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda, coarse_grained_L, \
     lamb_shift, pv_shift_eigenbasis
-from .generator import GeneratorBundle, LindbladDecomposition, build_generator, \
-    steady_state
+from .generator import GeneratorBundle, LindbladDecomposition, \
+    SteadyStateResult, build_generator, steady_state
 from .linalg import (
     anticommutator_superop,
     commutator_superop,
@@ -64,7 +64,9 @@ __all__ = [
     "heat_bath_generator",
     "general_heat_bath_bundle",
     "dual_path_residual",
+    "first_order_vanishes",
     "GibbsRow",
+    "gibbs_row",
     "gibbs_limit_study",
     "SweepRow",
     "SweepResult",
@@ -443,6 +445,11 @@ def dual_path_residual(m: HeatBathModel,
     return worst
 
 
+def first_order_vanishes(m: HeatBathModel, corr: CorrelationData) -> bool:
+    """Whether the bath mean Tr(sigma Phi) vanishes to 1e-10 relative to Phi."""
+    return abs(corr.mean) <= 1e-10 * (1.0 + max_abs(m.Phi))
+
+
 @dataclass
 class GibbsRow:
     lam: float
@@ -451,13 +458,23 @@ class GibbsRow:
     flagged: bool
 
 
+def gibbs_row(lam: float, ss: SteadyStateResult,
+              target: np.ndarray) -> GibbsRow:
+    """Steady state vs target Gibbs state (NaN and flagged if missing)."""
+    if ss.state is None:
+        return GibbsRow(lam=lam, distance=float("nan"),
+                        nullspace_dim=ss.nullspace_dim, flagged=True)
+    return GibbsRow(lam=lam, distance=trace_distance(ss.state, target),
+                    nullspace_dim=ss.nullspace_dim, flagged=ss.flagged)
+
+
 def gibbs_limit_study(m: HeatBathModel,
                       lambda_grid: Sequence[float]) -> List[GibbsRow]:
     """Steady-state distance to the system Gibbs state over a coupling
     grid, for models with vanishing first-order term (Phi traceless
     against the bath state, so the mean drops out)."""
     corr = bath_correlation(m)
-    if abs(corr.mean) > 1e-10 * (1.0 + max_abs(m.Phi)):
+    if not first_order_vanishes(m, corr):
         raise ValueError(
             f"gibbs_limit_study needs a vanishing first-order term "
             f"(Tr(sigma Phi) = {corr.mean:.3e}); choose Phi traceless "
@@ -466,16 +483,8 @@ def gibbs_limit_study(m: HeatBathModel,
     rows = []
     for lam in lambda_grid:
         model = replace(m, schedule=replace(m.schedule, lam=lam))
-        bundle = heat_bath_generator(model)
-        ss = steady_state(bundle)
-        if ss.state is None:
-            rows.append(GibbsRow(lam=lam, distance=float("nan"),
-                                 nullspace_dim=ss.nullspace_dim, flagged=True))
-        else:
-            rows.append(GibbsRow(lam=lam,
-                                 distance=trace_distance(ss.state, target),
-                                 nullspace_dim=ss.nullspace_dim,
-                                 flagged=ss.flagged))
+        ss = steady_state(heat_bath_generator(model))
+        rows.append(gibbs_row(lam, ss, target))
     return rows
 
 
@@ -508,7 +517,7 @@ def projected_error_curve(sub: PhysicalSubsystem, H0: np.ndarray,
         bundle = build_generator(sub, H0, Hp, sched)
     lam = sched.lam
     d = sub.dim
-    B = sub.heisenberg_image_basis()
+    B = sub.image_bases()[0]
     k = B.shape[1]
     Bmats = [devectorize(B[:, j], d) for j in range(k)]
     g, _ = bundle.restricted_heisenberg()

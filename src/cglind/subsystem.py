@@ -24,6 +24,7 @@ from .linalg import (
     matrix_from_text,
     matrix_to_text,
     max_abs,
+    numerical_nullity,
     require_hermitian,
     require_square,
     trace_pairing_adjoint,
@@ -83,19 +84,10 @@ class KrausFamily:
         T4 = np.tensordot(left, right, axes=(0, 0))
         return np.ascontiguousarray(T4.transpose(0, 2, 1, 3)).reshape(d * d, d * d)
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        out = np.zeros_like(X)
-        for V in self.operators:
-            out += V.conj().T @ X @ V
-        return out
-
     def unital_defect(self) -> float:
-        return max_abs(self.apply(np.eye(self.dim)) - np.eye(self.dim))
-
-    def idempotency_defect(self) -> float:
-        S = self.heisenberg_superop()
-        return max_abs(S @ S - S)
+        """||P0(1) - 1||_max with P0(1) = sum_a V_a† V_a."""
+        return max_abs(sum(V.conj().T @ V for V in self.operators)
+                       - np.eye(self.dim))
 
 
 @dataclass
@@ -140,7 +132,7 @@ def commutant(family: KrausFamily, zero_tol: float = 1e-9,
     use_stack = len(gens) * dd * dd <= 3_000_000
     if use_stack:
         rows = np.vstack([np.kron(eye, G) - np.kron(G.T, eye) for G in gens])
-        _, svals, vh = np.linalg.svd(rows)
+        _, svals, vh = np.linalg.svd(rows, full_matrices=False)
         eff_zero_tol = zero_tol
     else:
         S = heisenberg if heisenberg is not None \
@@ -155,27 +147,14 @@ def commutant(family: KrausFamily, zero_tol: float = 1e-9,
         vh = evecs[:, ::-1].conj().T
         eff_zero_tol = max(zero_tol, 1e-7)
 
-    smax = float(svals[0]) if svals.size else 0.0
-    if smax == 0.0:
-        null_mask = np.ones(len(svals), dtype=bool)
-    else:
-        null_mask = svals < eff_zero_tol * smax
-    dim_null = int(np.sum(null_mask))
+    dim_null, gap = numerical_nullity(svals, eff_zero_tol)
     # Null vectors are the rows of vh paired with the smallest singular
     # values (conjugated: columns of V).
     null_rows = vh[len(svals) - dim_null:, :] if dim_null else vh[:0, :]
     basis = [devectorize(row.conj(), d) for row in null_rows]
-
-    if smax == 0.0 or dim_null == len(svals):
-        gap = np.inf
-        flagged = False
-    else:
-        largest_zero = float(svals[null_mask].max() / smax) if dim_null else 0.0
-        smallest_kept = float(svals[~null_mask].min() / smax)
-        gap = smallest_kept - largest_zero
-        flagged = gap < gap_tol
     return CommutantResult(basis=basis, dimension=dim_null,
-                           singular_values=svals, gap=gap, flagged=flagged)
+                           singular_values=svals, gap=gap,
+                           flagged=gap < gap_tol)
 
 
 @dataclass
@@ -191,8 +170,7 @@ class PhysicalSubsystem:
     commutant_info: CommutantResult
     unital_defect: float
     idempotency_defect: float
-    _heis_image: Optional[np.ndarray] = field(default=None, repr=False)
-    _schr_image: Optional[np.ndarray] = field(default=None, repr=False)
+    _image_bases: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -214,15 +192,12 @@ class PhysicalSubsystem:
         rho = np.asarray(rho, dtype=complex)
         return max_abs(self.project_state(rho) - rho) <= tol * (1.0 + max_abs(rho))
 
-    def heisenberg_image_basis(self) -> np.ndarray:
-        if self._heis_image is None:
-            self._heis_image = image_basis(self.heisenberg)
-        return self._heis_image
-
-    def schrodinger_image_basis(self) -> np.ndarray:
-        if self._schr_image is None:
-            self._schr_image = image_basis(self.schrodinger)
-        return self._schr_image
+    def image_bases(self) -> tuple:
+        """Orthonormal bases (Heisenberg, Schrödinger) of the images of
+        the projection pair, from one SVD on first use."""
+        if self._image_bases is None:
+            self._image_bases = image_basis(self.heisenberg)
+        return self._image_bases
 
 
 def build_projection(kraus: KrausFamily, strict: bool = True,
@@ -231,7 +206,8 @@ def build_projection(kraus: KrausFamily, strict: bool = True,
 
     With ``strict=True`` (default) the family is rejected unless it is
     unit preserving and idempotent to ``tol`` and its commutant spans
-    exactly the image of the projection.  ``strict=False`` still
+    exactly the image of the projection (fix defect and containment
+    residual below 1e-9; P0 is not decomposed).  ``strict=False`` still
     computes everything and records the defects, which is what the
     validator needs to diagnose deliberately broken families.
     """
@@ -255,15 +231,16 @@ def build_projection(kraus: KrausFamily, strict: bool = True,
         idempotency_defect=idem_dev,
     )
     if strict:
-        # Image of P0 must coincide with the commutant span: every
-        # commutant element fixed, and ranks equal.
-        fix_dev = max(max_abs(sub.project(C) - C) for C in comm.basis)
-        svals = np.linalg.svd(S, compute_uv=False)
-        rank = int(np.sum(svals > 1e-9 * svals[0])) if svals[0] > 0 else 0
-        if fix_dev > 1e-9 or rank != comm.dimension:
+        # Span in image: P0 C = C.  Image in span: P0 = C C† P0, with C
+        # the orthonormal commutant basis stacked as columns.
+        C = np.column_stack([vectorize(B) for B in comm.basis])
+        fix_dev = max_abs(S @ C - C)
+        span_dev = max_abs(S - C @ (C.conj().T @ S))
+        if fix_dev > 1e-9 or span_dev > 1e-9:
             raise ValueError(
                 "projection image does not match the commutant span "
-                f"(fix defect {fix_dev:.3e}, rank {rank} vs {comm.dimension})")
+                f"(fix defect {fix_dev:.3e}, containment residual "
+                f"{span_dev:.3e})")
     return sub
 
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from cglind import cli, scenarios
 from cglind.cli import main, parse_config, ConfigError
 
 BASE_QFGR = """\
@@ -205,12 +206,33 @@ class TestRun:
         assert main(["--out-dir", str(out2), "run", cfg]) == 0
         assert (out1 / "out.csv").read_bytes() == (out2 / "out.csv").read_bytes()
 
-    def test_threaded_run_matches_serial(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_QFGR)
+    @pytest.mark.parametrize("text, csv", [(BASE_QFGR, "out.csv"),
+                                           (GIBBS, "gibbs.csv")],
+                             ids=["qfgr", "gibbs"])
+    def test_threaded_run_matches_serial(self, tmp_path, text, csv):
+        # heat-bath workers share one subsystem and its cached image bases
+        cfg = write_config(tmp_path, text)
         out1, out2 = tmp_path / "serial", tmp_path / "threaded"
         assert main(["--out-dir", str(out1), "run", cfg]) == 0
         assert main(["--out-dir", str(out2), "--threads", "2", "run", cfg]) == 0
-        assert (out1 / "out.csv").read_bytes() == (out2 / "out.csv").read_bytes()
+        assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
+
+    def test_heat_bath_builds_projection_once(self, tmp_path, monkeypatch):
+        calls = dict.fromkeys(["partial_trace_family", "heat_bath_generator"], 0)
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+        for name in calls:
+            counted = counting(name, getattr(scenarios, name))
+            for mod in (cli, scenarios):
+                monkeypatch.setattr(mod, name, counted)
+        cfg = write_config(tmp_path, GIBBS.replace("lambda = 0.3 0.1",
+                                                   "lambda = 0.3 0.2 0.1"))
+        assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 0
+        assert calls == {"partial_trace_family": 1, "heat_bath_generator": 3}
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_QFGR)

@@ -70,6 +70,39 @@ class TestBuildProjection:
         assert sub.idempotency_defect > 1e-3
         assert sub.unital_defect > 1e-3
 
+    def test_rejects_image_larger_than_commutant(self):
+        # Unital and idempotent: P0(X) = diag(X00, X11, (X00 + X11)/2) has
+        # a 2-dimensional image, but the commutant of the family is C 1.
+        e = np.eye(3, dtype=complex)
+        fam = KrausFamily([np.outer(e[0], e[0]), np.outer(e[1], e[1]),
+                           np.outer(e[0], e[2]) / np.sqrt(2),
+                           np.outer(e[1], e[2]) / np.sqrt(2)])
+        with pytest.raises(ValueError,
+                           match="does not match the commutant span"):
+            build_projection(fam)
+        sub = build_projection(fam, strict=False)
+        assert sub.commutant_info.dimension == 1
+        assert sub.unital_defect < 1e-12
+        assert sub.idempotency_defect < 1e-12
+
+
+class TestImageBases:
+    @pytest.fixture(params=["sectors", "partial_trace", "trivial"])
+    def sub(self, request, rng):
+        if request.param == "sectors":
+            return build_projection(sector_family([2, 1, 2]))
+        if request.param == "partial_trace":
+            return build_projection(partial_trace_family(
+                2, random_density(rng, 3)))
+        return build_projection(trivial_family(3))
+
+    def test_bases_span_the_images(self, sub):
+        for P, B in zip((sub.heisenberg, sub.schrodinger), sub.image_bases()):
+            assert B.shape[1] == sub.commutant_info.dimension
+            assert max_abs(B.conj().T @ B - np.eye(B.shape[1])) < 1e-12
+            assert max_abs(P @ B - B) < 1e-10
+            assert max_abs(B @ (B.conj().T @ P) - P) < 1e-10
+
 
 class TestSectorFamily:
     def test_two_singletons(self):
