@@ -103,7 +103,7 @@ def coarse_grained_L(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
 
 
 def coarse_grained_L_quadrature(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
-                                omega: float, n_points: int = 3200,
+                                omega: float | np.ndarray, n_points: int = 3200,
                                 half_width: float = 8.0) -> np.ndarray:
     """Oracle evaluator of the defining time integral
 
@@ -113,21 +113,31 @@ def coarse_grained_L_quadrature(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
     integrated by the trapezoid rule on a uniform grid.  The Gaussian
     window makes the truncation error < 1e-12; kept deliberately
     independent of the closed form it checks.
+
+    ``omega`` is a scalar (one d x d matrix is returned) or an array of
+    frequencies (one d x d matrix per frequency).  All frequencies share
+    the grid, so the rule is one (n_omega x n_t) @ (n_t x d^2) product
+    of the weighted phases e^{i w t} with the per-entry integrands
+    e^{-i D_mn t - t^2/(2T^2)}.
     """
     if T <= 0.0:
         raise ValueError(f"window width T must be positive, got {T}")
     Hp = require_hermitian(Hp, "Hp")
     U = h0_eig.vectors
     eps = h0_eig.values
+    d = len(eps)
     delta = np.subtract.outer(eps, eps)
     Hp_eig = U.conj().T @ Hp @ U
+    omega = np.asarray(omega, dtype=float)
     ts = np.linspace(-half_width * T, half_width * T, n_points)
-    # integrand per entry: exp(i(w - D) t - t^2 / 2T^2) * H'_mn
-    phase = np.exp(1j * (omega - delta)[..., None] * ts[None, None, :]
-                   - (ts ** 2 / (2.0 * T * T))[None, None, :])
-    integral = np.trapezoid(phase, ts, axis=-1) * Hp_eig
+    rule = np.full(n_points, ts[1] - ts[0])
+    rule[[0, -1]] *= 0.5
+    waves = rule * np.exp(1j * np.multiply.outer(omega.ravel(), ts))
+    entries = np.exp(-1j * np.multiply.outer(ts, delta.ravel())
+                     - (ts ** 2 / (2.0 * T * T))[:, None])
+    integral = (waves @ entries).reshape(-1, d, d) * Hp_eig
     L_eig = integral / np.sqrt(np.sqrt(np.pi) * T)
-    return U @ L_eig @ U.conj().T
+    return (U @ L_eig @ U.conj().T).reshape(omega.shape + (d, d))
 
 
 def pv_gaussian(mu, a: float):

@@ -176,6 +176,26 @@ def assemble_kt(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
     return lindblad_superop(shift, decay, jump), shift, decay, jump
 
 
+def _covariance_defect(H0: np.ndarray, P: np.ndarray) -> float:
+    """||[Z, P]||_max for Z = i ad_{H0} = i (1 kron H0 - H0^T kron 1), in
+    O(d^5) without forming Z.
+
+    Under column stacking a row or column index of P is b d + a, so each
+    Kronecker factor contracts one index of P: on the columns (operators
+    X, mapped to [H0, X]) 1 kron H0 contracts a and H0^T kron 1
+    contracts b; on the rows (functionals vec(Y)^T, mapped to
+    vec([H0^T, Y])^T) the same factors contract a and b from the right.
+    The factor i does not change the norm.
+    """
+    d = H0.shape[0]
+    dd = d * d
+    ZP = np.matmul(H0, P.reshape(d, d, dd)) \
+        - (H0.T @ P.reshape(d, d * dd)).reshape(d, d, dd)
+    PZ = (P.reshape(dd * d, d) @ H0).reshape(dd, d, d) \
+        - np.matmul(H0, P.reshape(dd, d, d))
+    return max_abs(ZP.reshape(dd, dd) - PZ.reshape(dd, dd))
+
+
 def build_generator(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
                     sched: CoarseGrainSchedule,
                     comm_tol: float = 1e-10) -> GeneratorBundle:
@@ -192,8 +212,7 @@ def build_generator(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
     lam = sched.lam
     if lam == 0.0:
         raise ValueError("lambda must be nonzero to build the generator")
-    Z = 1j * commutator_superop(H0)
-    comm_dev = max_abs(Z @ sub.heisenberg - sub.heisenberg @ Z)
+    comm_dev = _covariance_defect(H0, sub.heisenberg)
     if comm_dev > comm_tol * (1.0 + max_abs(H0)):
         raise ValueError(
             "free evolution does not commute with the projection: "
@@ -230,6 +249,17 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
     integral the trapezoid rule, which is spectrally accurate for the
     Gaussian-localized integrand.
 
+    P0 enters only through its range, so the oracle factors P0 = L R
+    once, from its own SVD: L is an orthonormal basis of the range
+    (singular values above 1e-9 times the largest) and R = L† P0.  The
+    discarded singular values bound the residual max|P0 - L R|, which is
+    checked at 1e-9 (1 + ||P0||_2); the factorization needs neither
+    idempotency nor Hilbert-Schmidt self-adjointness.  The integrand is
+    carried as the column stack P1 i ad_{H'(t)} L and the row stack
+    R i ad_{H'(t)} P1 (P1 = 1 - P0, ad applied as operator commutators),
+    and the result is L (inner r x r integral) R.  With r = rank P0 and
+    n = n_points this costs O(n d^4 r) time and O(n d^2 r) memory.
+
     Returns the superoperator on the subsystem image (it annihilates
     the complement by construction).  Desk-scale only: dims above 12
     are rejected.
@@ -247,29 +277,44 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
     Hp_eig = U.conj().T @ Hp @ U
     delta = np.subtract.outer(eps, eps)
     P0 = sub.heisenberg
-    P1 = np.eye(d * d, dtype=complex) - P0
+    dd = d * d
+    P1 = np.eye(dd, dtype=complex) - P0
+
+    u, s, _ = np.linalg.svd(P0)
+    rank = int(np.sum(s > 1e-9 * s[0]))
+    L = u[:, :rank]
+    R = L.conj().T @ P0
+    resid = max_abs(P0 - L @ R)
+    if resid > 1e-9 * (1.0 + s[0]):
+        raise ValueError(
+            f"oracle factorization P0 = L R failed: residual {resid:.3e}")
 
     ts = np.linspace(-half_width * T, half_width * T, n_points)
     h = ts[1] - ts[0]
     weights = np.exp(-ts ** 2 / (2.0 * T * T))
 
-    dd = d * d
-    M01 = np.empty((n_points, dd, dd), dtype=complex)
-    F10 = np.empty((n_points, dd, dd), dtype=complex)
-    for k, t in enumerate(ts):
-        Hp_t = U @ (np.exp(-1j * delta * t) * Hp_eig) @ U.conj().T
-        comm = 1j * commutator_superop(Hp_t)
-        M01[k] = P0 @ comm @ P1
-        F10[k] = weights[k] * (P1 @ comm @ P0)
+    # H'(t) on the grid, (n, d, d).  A C-order reshape of a column-stacked
+    # vec gives the transposed operator, so the stacks are built from
+    # transposes: vec(i[H, X])^T = i[X^T, H^T] for a column X = devec(L e_j),
+    # and a row R_j = vec(Y)^T maps to vec(i[H^T, Y])^T with transpose
+    # i[Y^T, H].
+    Hp_t = U @ (np.exp(-1j * delta * ts[:, None, None]) * Hp_eig) @ U.conj().T
+    Hp_tT = Hp_t.transpose(0, 2, 1)
+    Xt = L.T.reshape(rank, d, d)
+    Yt = R.reshape(rank, d, d)
+    cols = (1j * (Xt[None] @ Hp_tT[:, None] - Hp_tT[:, None] @ Xt[None])
+            ).reshape(n_points, rank, dd)
+    F10 = weights[:, None, None] * (P1 @ cols.transpose(0, 2, 1))
+    rows = (1j * (Yt[None] @ Hp_t[:, None] - Hp_t[:, None] @ Yt[None])
+            ).reshape(n_points, rank, dd) @ P1
 
     cum = cumulative_simpson(F10.real, dx=h, axis=0, initial=0) \
         + 1j * cumulative_simpson(F10.imag, dx=h, axis=0, initial=0)
 
-    K = np.zeros((dd, dd), dtype=complex)
-    for k in range(n_points):
-        coeff = h if 0 < k < n_points - 1 else 0.5 * h
-        K += coeff * weights[k] * (M01[k] @ cum[k])
-    return K / (np.sqrt(np.pi) * T)
+    coeff = np.full(n_points, h)
+    coeff[[0, -1]] = 0.5 * h
+    inner = np.sum((coeff * weights)[:, None, None] * (rows @ cum), axis=0)
+    return (L @ inner @ R) / (np.sqrt(np.pi) * T)
 
 
 @dataclass
@@ -388,14 +433,15 @@ def qds_certificate(bundle: GeneratorBundle,
             rhs = schr_props[float(s)] @ schr_props[float(t)]
             semi_dev = max(semi_dev, max_abs(lhs - rhs))
 
+    quotient_props = [expm(t * quotient) for t in times]
     growth = 0.0
     for _ in range(n_state_samples):
         G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = bundle.subsystem.project_state(G @ G.conj().T)
         rho = hermitize(rho) / np.trace(rho).real
         base = trace_norm(rho)
-        for t in times:
-            evolved = devectorize(expm(t * quotient) @ vectorize(rho), d)
+        for prop_q in quotient_props:
+            evolved = devectorize(prop_q @ vectorize(rho), d)
             growth = max(growth, trace_norm(evolved) - base)
 
     choi_min = np.array(choi_min)

@@ -73,6 +73,35 @@ class TestCoarseGrainedL:
             quad = coarse_grained_L_quadrature(eig, Hp, 1.3, omega)
             assert max_abs(closed - quad) < 1e-8
 
+    @staticmethod
+    def quadrature_loop_reference(eig, Hp, T, omega, n_points=3200):
+        """The per-frequency trapezoid rule on the combined phase
+        exp(i (w - D_mn) t - t^2 / 2T^2), one frequency at a time."""
+        U = eig.vectors
+        delta = np.subtract.outer(eig.values, eig.values)
+        Hp_eig = U.conj().T @ Hp @ U
+        ts = np.linspace(-8.0 * T, 8.0 * T, n_points)
+        phase = np.exp(1j * (omega - delta)[..., None] * ts
+                       - ts ** 2 / (2.0 * T * T))
+        L_eig = np.trapezoid(phase, ts, axis=-1) * Hp_eig \
+            / np.sqrt(np.sqrt(np.pi) * T)
+        return U @ L_eig @ U.conj().T
+
+    def test_frequency_array_matches_scalar_loop(self, rng):
+        eig = hermitian_eig(random_hermitian(rng, 4))
+        Hp = random_hermitian(rng, 4)
+        omegas = np.array([-2.3, -0.4, 0.0, 0.7, 5.0])
+        stacked = coarse_grained_L_quadrature(eig, Hp, 1.3, omegas)
+        assert stacked.shape == (len(omegas), 4, 4)
+        for omega, got in zip(omegas, stacked):
+            ref = self.quadrature_loop_reference(eig, Hp, 1.3, omega)
+            single = coarse_grained_L_quadrature(eig, Hp, 1.3, omega)
+            # one product e^{iwt} e^{-iDt - t^2/2T^2} per node in place of
+            # one exponential: a few ulps per node, summed over 3200 nodes
+            bound = 1e-12 * (1.0 + max_abs(ref))
+            assert max_abs(got - ref) <= bound
+            assert max_abs(single - ref) <= bound
+
     def test_frequency_reflection_is_adjoint(self, rng):
         eig = hermitian_eig(random_hermitian(rng, 4))
         Hp = random_hermitian(rng, 4)
@@ -180,20 +209,16 @@ def lamb_pv_oracle(eig, Hp, T, sub, n=1501, delta=4e-3):
     exclusion of (-delta, delta), Simpson on the grid, Richardson
     extrapolation in delta."""
     eps = eig.values
-    d = sub.dim
     R = 2.0 * float(eps.max() - eps.min()) + 12.0 / T
 
-    def centered(omega):
-        L = coarse_grained_L_quadrature(eig, Hp, T, omega)
-        return L - sub.project(L)
+    def centered(omegas):
+        return [L - sub.project(L)
+                for L in coarse_grained_L_quadrature(eig, Hp, T, omegas)]
 
     def excluded(dlt):
         xs = np.linspace(dlt, R, n)
-        vals = np.zeros((n, d, d), dtype=complex)
-        for i, w in enumerate(xs):
-            Cp = centered(w)
-            Cm = centered(-w)
-            vals[i] = (Cp.conj().T @ Cp - Cm.conj().T @ Cm) / w
+        vals = np.array([(Cp.conj().T @ Cp - Cm.conj().T @ Cm) / w
+                         for w, Cp, Cm in zip(xs, centered(xs), centered(-xs))])
         integ = simpson(vals, x=xs, axis=0)
         return sub.project(integ) / (2.0 * np.pi)
 

@@ -2,10 +2,13 @@ import os
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from conftest import random_density, random_hermitian
+import cglind.generator as generator_module
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
 from cglind.generator import (
+    _covariance_defect,
     assemble_kt,
     build_generator,
     evolve,
@@ -20,12 +23,20 @@ from cglind.linalg import (
     devectorize,
     expm,
     hermitian_eig,
+    hermitize,
     is_psd,
     matrix_from_text,
     max_abs,
+    trace_norm,
     vectorize,
 )
-from cglind.subsystem import build_projection, partial_trace_family, sector_family
+from cglind.subsystem import (
+    KrausFamily,
+    build_projection,
+    partial_trace_family,
+    sector_family,
+    trivial_family,
+)
 from cglind.scenarios import gibbs_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,6 +51,16 @@ def dephasing_bundle(lam=1.0, t_ref=1.0):
     """Dephasing qubit with visible relaxation (window T = t_ref / lam)."""
     sched = CoarseGrainSchedule(lam=lam, xi=1.0, T_ref=t_ref)
     return build_generator(dephasing_sub(), SZ, SX, sched)
+
+
+def oblique_heat_bath(rng):
+    """Qubit on a two-level bath in a Gibbs state that is not maximally
+    mixed: the partial-trace projection is not Hilbert-Schmidt
+    self-adjoint.  Returns (subsystem, H0, H')."""
+    HB = np.diag([0.0, 0.8]).astype(complex)
+    sub = build_projection(partial_trace_family(2, gibbs_state(HB, 1.0)))
+    H0 = np.kron(0.6 * SZ, np.eye(2)) + np.kron(np.eye(2), HB)
+    return sub, H0, random_hermitian(rng, 4)
 
 
 def commutator_bundle():
@@ -68,6 +89,15 @@ class TestBuildGenerator:
         sched = CoarseGrainSchedule(lam=0.0, xi=1.0, T_ref=1.0)
         with pytest.raises(ValueError, match="nonzero"):
             build_generator(dephasing_sub(), SZ, SX, sched)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_covariance_defect_matches_dense(self, d, rng):
+        H0 = random_hermitian(rng, d)
+        P = rng.standard_normal((d * d, d * d)) \
+            + 1j * rng.standard_normal((d * d, d * d))
+        Z = 1j * commutator_superop(H0)
+        dense = max_abs(Z @ P - P @ Z)
+        assert abs(_covariance_defect(H0, P) - dense) <= 1e-12 * dense
 
     def test_unitality_and_psi_normalization(self):
         bundle = dephasing_bundle()
@@ -122,7 +152,68 @@ class TestBuildGenerator:
         assert max_abs(a.decomposition.h_first - b.decomposition.h_first) < 1e-12
 
 
+def _k_t_oracle_loop(sub, H0, Hp, T, n_points=1601, half_width=8.0):
+    """Reference: the oracle's ordered double integral evaluated point by
+    point with full d^2 x d^2 superoperators, no factorization of P0."""
+    d = sub.dim
+    eig = hermitian_eig(H0)
+    U, eps = eig.vectors, eig.values
+    Hp_eig = U.conj().T @ Hp @ U
+    delta = np.subtract.outer(eps, eps)
+    P0 = sub.heisenberg
+    P1 = np.eye(d * d, dtype=complex) - P0
+    ts = np.linspace(-half_width * T, half_width * T, n_points)
+    h = ts[1] - ts[0]
+    weights = np.exp(-ts ** 2 / (2.0 * T * T))
+    dd = d * d
+    M01 = np.empty((n_points, dd, dd), dtype=complex)
+    F10 = np.empty((n_points, dd, dd), dtype=complex)
+    for k, t in enumerate(ts):
+        Hp_t = U @ (np.exp(-1j * delta * t) * Hp_eig) @ U.conj().T
+        comm = 1j * commutator_superop(Hp_t)
+        M01[k] = P0 @ comm @ P1
+        F10[k] = weights[k] * (P1 @ comm @ P0)
+    cum = cumulative_simpson(F10.real, dx=h, axis=0, initial=0) \
+        + 1j * cumulative_simpson(F10.imag, dx=h, axis=0, initial=0)
+    K = np.zeros((dd, dd), dtype=complex)
+    for k in range(n_points):
+        coeff = h if 0 < k < n_points - 1 else 0.5 * h
+        K += coeff * weights[k] * (M01[k] @ cum[k])
+    return K / (np.sqrt(np.pi) * T)
+
+
+def _oracle_case(name, rng):
+    """(subsystem, H0, H', T) for the factored-oracle regression cases."""
+    if name == "sector-1-2":
+        sub = build_projection(sector_family([1, 2]))
+        return sub, np.diag([0.2, 0.9, 1.3]).astype(complex), \
+            random_hermitian(rng, 3), 0.9
+    if name == "oblique-partial-trace":
+        sub, H0, Hp = oblique_heat_bath(rng)
+        assert max_abs(sub.heisenberg - sub.heisenberg.conj().T) > 0.1
+        return sub, H0, Hp, 1.1
+    if name == "full-rank":
+        sub = build_projection(trivial_family(2))
+        assert np.linalg.matrix_rank(sub.heisenberg) == 4
+        return sub, random_hermitian(rng, 2), random_hermitian(rng, 2), 0.7
+    if name == "not-idempotent":
+        ops = [0.5 * (rng.standard_normal((3, 3))
+                      + 1j * rng.standard_normal((3, 3))) for _ in range(2)]
+        sub = build_projection(KrausFamily(ops), strict=False)
+        assert sub.idempotency_defect > 1e-2
+        return sub, random_hermitian(rng, 3), random_hermitian(rng, 3), 0.8
+    raise KeyError(name)
+
+
 class TestOracle:
+    @pytest.mark.parametrize("case", ["sector-1-2", "oblique-partial-trace",
+                                      "full-rank", "not-idempotent"])
+    def test_factored_matches_loop_reference(self, case, rng):
+        sub, H0, Hp, T = _oracle_case(case, rng)
+        K = k_t_oracle(sub, H0, Hp, T)
+        K_ref = _k_t_oracle_loop(sub, H0, Hp, T)
+        assert max_abs(K - K_ref) <= 1e-13 * (1.0 + max_abs(K_ref))
+
     def test_matches_assembled_dephasing_spec_point(self):
         # the named scenario point: lam = 0.1 gives window T = 10, where
         # the coupling entries underflow and both paths are ~0
@@ -229,7 +320,42 @@ class TestSteadyState:
         np.testing.assert_allclose(res.state, np.eye(2) / 2, atol=1e-10)
 
 
+def _trace_norm_growth_loop(bundle, times, rng, n_state_samples):
+    """Reference: the certificate's trace-norm growth with one quotient
+    propagator per (state sample, time) pair."""
+    rng = np.random.default_rng(rng)
+    d = bundle.dim
+    quotient = bundle.quotient_schrodinger()
+    growth = 0.0
+    for _ in range(n_state_samples):
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = bundle.subsystem.project_state(G @ G.conj().T)
+        rho = hermitize(rho) / np.trace(rho).real
+        base = trace_norm(rho)
+        for t in times:
+            evolved = devectorize(expm(t * quotient) @ vectorize(rho), d)
+            growth = max(growth, trace_norm(evolved) - base)
+    return growth
+
+
 class TestCertificate:
+    def test_one_quotient_propagator_per_time(self, rng, monkeypatch):
+        sub, H0, Hp = oblique_heat_bath(rng)
+        bundle = build_generator(sub, H0, Hp, CoarseGrainSchedule(0.3, 1.0, 1.0))
+        times = (0.1, 1.0, 10.0, 100.0)
+        calls = []
+
+        def counting_expm(M):
+            calls.append(M.shape)
+            return expm(M)
+
+        monkeypatch.setattr(generator_module, "expm", counting_expm)
+        cert = qds_certificate(bundle, times, rng=7, n_state_samples=3)
+        # Schrödinger, Heisenberg, restricted and quotient propagators per
+        # time, plus one per composition pair s <= t
+        assert len(calls) == 4 * len(times) + len(times) * (len(times) + 1) // 2
+        assert cert.trace_norm_growth == _trace_norm_growth_loop(bundle, times, 7, 3)
+
     def test_pure_commutator_unitary_propagator(self):
         cert = qds_certificate(commutator_bundle(), (0.1, 1.0, 10.0))
         assert cert.passed
