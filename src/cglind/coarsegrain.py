@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import dawsn
 
 from .linalg import EigenSystem, hermitize, max_abs, require_hermitian
@@ -156,6 +155,8 @@ def pv_gaussian_quadrature(mu: float, a: float, delta: float | None = None) -> f
     symmetric intervals excluding (-delta, delta), Richardson
     extrapolated in delta (the leading exclusion error is linear).
     """
+    # Deferred: only the oracles use scipy.integrate, and runs never call them.
+    from scipy.integrate import quad
     if a <= 0.0:
         raise ValueError(f"Gaussian width parameter a must be positive, got {a}")
     mu = float(mu)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda, coarse_grained_L, \
     lamb_shift
@@ -168,12 +167,17 @@ def assemble_kt(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
     integral), so K = i[shift, .] - (1/2){decay, .} + jump.  The
     time-domain oracle pins this sign.
     """
+    shift, decay, jump = _kt_pieces(sub, h0_eig, Hp, T)
+    return lindblad_superop(shift, decay, jump), shift, decay, jump
+
+
+def _kt_pieces(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
+    """(shift, decay, jump) of K_T, without assembling K_T itself."""
     L0 = coarse_grained_L(h0_eig, Hp, T, 0.0).matrix
     W = L0 - sub.project(L0)
     decay = hermitize(sub.project(W @ W))
     jump = sub.heisenberg @ sandwich_superop(W, W)
-    shift = -lamb_shift(h0_eig, Hp, T, sub)
-    return lindblad_superop(shift, decay, jump), shift, decay, jump
+    return -lamb_shift(h0_eig, Hp, T, sub), decay, jump
 
 
 def _covariance_defect(H0: np.ndarray, P: np.ndarray) -> float:
@@ -220,7 +224,7 @@ def build_generator(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
 
     T = T_of_lambda(sched)
     h0_eig = hermitian_eig(H0, "H0")
-    _, shift, decay, jump = assemble_kt(sub, h0_eig, Hp, T)
+    shift, decay, jump = _kt_pieces(sub, h0_eig, Hp, T)
     lam2 = lam * lam
     dec = LindbladDecomposition(
         h_free=hermitize(sub.project(H0)),
@@ -264,6 +268,8 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
     the complement by construction).  Desk-scale only: dims above 12
     are rejected.
     """
+    # Deferred: only the oracles use scipy.integrate, and runs never call them.
+    from scipy.integrate import cumulative_simpson
     if T <= 0.0:
         raise ValueError(f"window width T must be positive, got {T}")
     H0 = require_hermitian(H0, "H0")

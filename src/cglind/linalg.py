@@ -255,7 +255,7 @@ def is_psd(M: np.ndarray, tol: float = PSD_SLACK) -> PsdResult:
     """PSD test: true iff lambda_min >= -tol * (1 + ||M||), where ||M||
     is the spectral norm.  The minimum eigenvalue witness is returned
     either way."""
-    M = require_hermitian(hermitize(M), "is_psd argument", rtol=np.inf)
+    M = require_square(hermitize(M), "is_psd argument")
     eigs = np.linalg.eigvalsh(M)
     min_eig = float(eigs[0])
     norm = float(np.max(np.abs(eigs))) if len(eigs) else 0.0

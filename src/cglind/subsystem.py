@@ -19,7 +19,6 @@ import numpy as np
 from . import linalg
 from .linalg import (
     devectorize,
-    hermitize,
     image_basis,
     matrix_from_text,
     matrix_to_text,
@@ -28,6 +27,7 @@ from .linalg import (
     require_hermitian,
     require_square,
     trace_pairing_adjoint,
+    transpose_superop_apply,
     vectorize,
 )
 
@@ -65,24 +65,29 @@ class KrausFamily:
             if V.shape[0] != d:
                 raise ValueError("Kraus operators must share one dimension")
         self.operators = ops
+        self._superop = None  # not a field: digests and equality skip it
 
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
     def heisenberg_superop(self) -> np.ndarray:
-        """Matrix of X -> sum_a V_a† X V_a.
+        """Matrix of X -> sum_a V_a† X V_a, built on first use and cached
+        read-only (every caller shares it).
 
         The Kraus sum of krons sum_a kron(V_a.T, V_a†) is evaluated as
         one tensordot; per-term np.kron is prohibitively slow for the
         large partial-trace families.
         """
-        d = self.dim
-        V = np.stack(self.operators)
-        left = V.transpose(0, 2, 1)
-        right = V.conj().transpose(0, 2, 1)
-        T4 = np.tensordot(left, right, axes=(0, 0))
-        return np.ascontiguousarray(T4.transpose(0, 2, 1, 3)).reshape(d * d, d * d)
+        if self._superop is None:
+            d = self.dim
+            V = np.stack(self.operators)
+            T4 = np.tensordot(V.transpose(0, 2, 1), V.conj().transpose(0, 2, 1),
+                              axes=(0, 0))
+            self._superop = np.ascontiguousarray(
+                T4.transpose(0, 2, 1, 3)).reshape(d * d, d * d)
+            self._superop.flags.writeable = False
+        return self._superop
 
     def unital_defect(self) -> float:
         """||P0(1) - 1||_max with P0(1) = sum_a V_a† V_a."""
@@ -104,8 +109,7 @@ class CommutantResult:
 
 
 def commutant(family: KrausFamily, zero_tol: float = 1e-9,
-              gap_tol: float = 1e-6,
-              heisenberg: Optional[np.ndarray] = None) -> CommutantResult:
+              gap_tol: float = 1e-6) -> CommutantResult:
     """Joint commutant {X : [V_a, X] = [V_a†, X] = 0 for all a}.
 
     Computed as the nullspace of the stacked commutator superoperators.
@@ -116,10 +120,14 @@ def commutant(family: KrausFamily, zero_tol: float = 1e-9,
 
     For families too large to stack (dims above ~16) the Gram matrix of
     the stacked map is used instead.  Summed over both V and V†, the
-    Gram collapses to kron(1, A) + kron(A*, 1) - 2 P0 - 2 P0* with
-    A = sum (V†V + VV†), so it costs two large krons.  The effective
-    zero threshold is sqrt-limited to 1e-7 by double precision on that
-    path.
+    Gram collapses to N = kron(1, A) + kron(A*, 1) - 2 P0 - 2 P0* with
+    A = sum (V†V + VV†), so it costs two large krons.  For any Kraus
+    family the generator set {V_a, V_a†} is closed under †, so N(X†) =
+    N(X)†: on the Hermitian orthonormal basis {E_aa, (E_ab + E_ba)/√2,
+    i(E_ab - E_ba)/√2} N is real symmetric.  That form is gathered from
+    N by index and diagonalized by a real ``eigh``; only the null
+    vectors are mapped back (Hermitian basis operators).  The effective
+    zero threshold is sqrt-limited to 1e-7 by double precision there.
     """
     d = family.dim
     dd = d * d
@@ -133,25 +141,33 @@ def commutant(family: KrausFamily, zero_tol: float = 1e-9,
     if use_stack:
         rows = np.vstack([np.kron(eye, G) - np.kron(G.T, eye) for G in gens])
         _, svals, vh = np.linalg.svd(rows, full_matrices=False)
-        eff_zero_tol = zero_tol
+        dim_null, gap = numerical_nullity(svals, zero_tol)
+        null = vh[len(svals) - dim_null:].conj()  # smallest singular values
     else:
-        S = heisenberg if heisenberg is not None \
-            else family.heisenberg_superop()
-        S_star = trace_pairing_adjoint(S)
+        S = family.heisenberg_superop()
         A = np.zeros((d, d), dtype=complex)
         for V in family.operators:
             A += V.conj().T @ V + V @ V.conj().T
-        N = np.kron(eye, A) + np.kron(A.conj(), eye) - 2.0 * S - 2.0 * S_star
-        evals, evecs = np.linalg.eigh(hermitize(N))
+        N = np.kron(eye, A) + np.kron(A.conj(), eye) - 2.0 * S \
+            - 2.0 * trace_pairing_adjoint(S)
+        # vec index of E_ab is b d + a: the diagonal, then E_ab and E_ba
+        # for a < b; c = 1/√2 is the basis normalization.
+        a, b = np.triu_indices(d, 1)
+        diag, p, q, c = np.arange(d) * (d + 1), b * d + a, a * d + b, np.sqrt(0.5)
+        cols = np.hstack([N[:, diag], c * (N[:, p] + N[:, q]),
+                          1j * c * (N[:, p] - N[:, q])])
+        evals, evecs = np.linalg.eigh(np.vstack([
+            cols[diag].real, c * (cols[p] + cols[q]).real,
+            c * (cols[p] - cols[q]).imag]))
         svals = np.sqrt(np.clip(evals[::-1], 0.0, None))
-        vh = evecs[:, ::-1].conj().T
-        eff_zero_tol = max(zero_tol, 1e-7)
+        dim_null, gap = numerical_nullity(svals, max(zero_tol, 1e-7))
+        r = evecs[:, :dim_null][:, ::-1].T
+        null = np.empty((dim_null, dd), dtype=complex)
+        null[:, diag] = r[:, :d]
+        null[:, p] = c * (r[:, d:d + len(p)] + 1j * r[:, d + len(p):])
+        null[:, q] = null[:, p].conj()
 
-    dim_null, gap = numerical_nullity(svals, eff_zero_tol)
-    # Null vectors are the rows of vh paired with the smallest singular
-    # values (conjugated: columns of V).
-    null_rows = vh[len(svals) - dim_null:, :] if dim_null else vh[:0, :]
-    basis = [devectorize(row.conj(), d) for row in null_rows]
+    basis = [devectorize(v, d) for v in null]
     return CommutantResult(basis=basis, dimension=dim_null,
                            singular_values=svals, gap=gap,
                            flagged=gap < gap_tol)
@@ -220,7 +236,7 @@ def build_projection(kraus: KrausFamily, strict: bool = True,
     if strict and idem_dev > tol:
         raise ValueError(
             f"Kraus map is not idempotent: ||P0^2 - P0||_max = {idem_dev:.3e}")
-    comm = commutant(kraus, heisenberg=S)
+    comm = commutant(kraus)
     sub = PhysicalSubsystem(
         kraus=kraus,
         heisenberg=S,
@@ -272,16 +288,17 @@ def trivial_family(dim: int) -> KrausFamily:
 def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int,
                   keep: str = "A") -> np.ndarray:
     """Brute-force partial trace of an operator on a tensor product
-    space (A kron B index layout)."""
+    space (A kron B index layout), or of each operator in a stack
+    (leading axes)."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim_a * dim_b, dim_a * dim_b):
+    if rho.shape[-2:] != (dim_a * dim_b, dim_a * dim_b):
         raise ValueError(
             f"expected {(dim_a * dim_b,) * 2} matrix, got {rho.shape}")
-    R = rho.reshape(dim_a, dim_b, dim_a, dim_b)
+    R = rho.reshape(rho.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
     if keep == "A":
-        return np.einsum("ikjk->ij", R)
+        return np.einsum("...ikjk->...ij", R)
     if keep == "B":
-        return np.einsum("kikj->ij", R)
+        return np.einsum("...kikj->...ij", R)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -308,22 +325,26 @@ def partial_trace_family(dim_a: int, bath_state: np.ndarray) -> KrausFamily:
             bath_op = roots[b] * np.outer(evecs[:, b], evecs[:, a].conj())
             ops.append(np.kron(eye_a, bath_op))
     fam = KrausFamily(ops)
-
-    # Cross-check the predual action against the independent routine,
-    # column by column of the superoperator.
-    d = dim_a * dim_b
-    S_star = trace_pairing_adjoint(fam.heisenberg_superop())
-    worst = 0.0
-    for k in range(d * d):
-        unit = np.zeros(d * d, dtype=complex)
-        unit[k] = 1.0
-        got = devectorize(S_star[:, k], d)
-        expect = np.kron(partial_trace(devectorize(unit, d), dim_a, dim_b), w)
-        worst = max(worst, max_abs(got - expect))
+    worst = _predual_defect(fam.heisenberg_superop(), dim_a, w)
     if worst > 1e-10:
         raise ValueError(
             f"partial-trace family failed predual cross-check: {worst:.3e}")
     return fam
+
+
+def _predual_defect(S: np.ndarray, dim_a: int, w: np.ndarray) -> float:
+    """max_k ||S*(E_k) - Tr_B(E_k) kron w||_max over all d^2 unit operators
+    E_k = devec(e_k) at once, S* the trace-pairing adjoint of S."""
+    dim_b = w.shape[0]
+    d = dim_a * dim_b
+    # Row k of a C-order reshape is devec(column k) transposed; the rows
+    # of T S T (T the transpose map) are the columns of S* = T S^T T.
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d).transpose(0, 2, 1)
+    got = transpose_superop_apply(S).reshape(d * d, d, d).transpose(0, 2, 1)
+    reduced = partial_trace(units, dim_a, dim_b)
+    expect = (reduced[:, :, None, :, None] * w[None, None, :, None, :]
+              ).reshape(d * d, d, d)
+    return max_abs(got - expect)
 
 
 # ---------------------------------------------------------------------------

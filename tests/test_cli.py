@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from cglind import cli, scenarios
+from cglind import cli, scenarios, subsystem
 from cglind.cli import main, parse_config, ConfigError
 
 BASE_QFGR = """\
@@ -233,6 +233,27 @@ class TestRun:
                                                    "lambda = 0.3 0.2 0.1"))
         assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 0
         assert calls == {"partial_trace_family": 1, "heat_bath_generator": 3}
+
+    def test_heat_bath_builds_superoperator_once(self, tmp_path, monkeypatch):
+        # The partial-trace family's superoperator serves the predual
+        # cross-check, build_projection and the commutant.  Each coupling
+        # also builds a trivial qubit subsystem, whose superoperator is
+        # 4 x 4 and is left out here.
+        returned = []
+        original = subsystem.KrausFamily.heisenberg_superop
+
+        def recording(self):
+            S = original(self)
+            returned.append(S)
+            return S
+        monkeypatch.setattr(subsystem.KrausFamily, "heisenberg_superop",
+                            recording)
+        cfg = write_config(tmp_path, GIBBS.replace("lambda = 0.3 0.1",
+                                                   "lambda = 0.3 0.2 0.1"))
+        assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 0
+        full = [S for S in returned if S.shape != (4, 4)]
+        assert len(full) >= 2
+        assert len({id(S) for S in full}) == 1
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_QFGR)

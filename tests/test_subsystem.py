@@ -4,13 +4,19 @@ import pytest
 from conftest import random_density, random_hermitian, random_unitary
 from cglind.linalg import (
     choi_matrix,
+    devectorize,
     expm,
+    hermitize,
     is_psd,
     max_abs,
+    numerical_nullity,
     operator_norm,
+    trace_pairing_adjoint,
+    vectorize,
 )
 from cglind.subsystem import (
     KrausFamily,
+    _predual_defect,
     build_projection,
     commutant,
     kraus_from_text,
@@ -84,6 +90,129 @@ class TestBuildProjection:
         assert sub.commutant_info.dimension == 1
         assert sub.unital_defect < 1e-12
         assert sub.idempotency_defect < 1e-12
+
+
+def _complex_gram_commutant(family, zero_tol=1e-9):
+    """Reference for the Gram route: eigh of the complex Gram matrix N
+    on the unit-operator basis, as ``commutant`` computed it before the
+    real symmetric form.  Returns (singular values, nullity, projector
+    onto the null space)."""
+    d = family.dim
+    eye = np.eye(d, dtype=complex)
+    S = family.heisenberg_superop()
+    A = sum(V.conj().T @ V + V @ V.conj().T for V in family.operators)
+    N = np.kron(eye, A) + np.kron(A.conj(), eye) - 2.0 * S \
+        - 2.0 * trace_pairing_adjoint(S)
+    evals, evecs = np.linalg.eigh(hermitize(N))
+    svals = np.sqrt(np.clip(evals[::-1], 0.0, None))
+    dim_null, _ = numerical_nullity(svals, max(zero_tol, 1e-7))
+    C = evecs[:, :dim_null]
+    return svals, dim_null, C @ C.conj().T
+
+
+def _block_family(rng, blocks, U):
+    """Kraus family of X -> U (+)_i Tr_m[(P_i X' P_i)(1 kron w_i)] kron 1_m U†
+    (X' = U† X U) for blocks (n_i, m_i), w_i a Gibbs state of a random
+    m_i x m_i Hamiltonian: the general finite-dimensional conditional
+    expectation, conjugated by the unitary U."""
+    d = sum(n * m for n, m in blocks)
+    ops, start = [], 0
+    for n, m in blocks:
+        evals, evecs = np.linalg.eigh(gibbs_state(random_hermitian(rng, m), 1.0))
+        J = np.eye(d, dtype=complex)[:, start:start + n * m]
+        for a in range(m):
+            for b in range(m):
+                bath_op = np.sqrt(evals[b]) * np.outer(evecs[:, b],
+                                                       evecs[:, a].conj())
+                V = J @ np.kron(np.eye(n), bath_op) @ J.T
+                ops.append(U @ V @ U.conj().T)
+        start += n * m
+    return KrausFamily(ops)
+
+
+class TestCommutantGramRoute:
+    """The real symmetric Gram form against the complex Gram route on
+    families large enough (2 K d^4 > 3e6) to take the Gram route."""
+
+    @pytest.fixture(params=["partial-trace-gibbs", "conjugated-blocks",
+                            "not-idempotent"])
+    def case(self, request, rng):
+        if request.param == "partial-trace-gibbs":
+            w = gibbs_state(random_hermitian(rng, 8), 1.0)
+            return build_projection(partial_trace_family(2, w)), 4
+        if request.param == "conjugated-blocks":
+            fam = _block_family(rng, [(2, 4), (2, 4)], random_unitary(rng, 16))
+            return build_projection(fam), 8
+        # random operators on two 8-dimensional sectors: the commutant is
+        # spanned by the sector projectors, the map is not idempotent
+        ops = []
+        for _ in range(24):
+            V = np.zeros((16, 16), dtype=complex)
+            for sl in (slice(0, 8), slice(8, 16)):
+                V[sl, sl] = 0.1 * (rng.standard_normal((8, 8))
+                                   + 1j * rng.standard_normal((8, 8)))
+            ops.append(V)
+        sub = build_projection(KrausFamily(ops), strict=False)
+        assert sub.idempotency_defect > 1e-3
+        return sub, 2
+
+    def test_matches_complex_gram(self, case):
+        sub, expected_dim = case
+        fam = sub.kraus
+        assert 2 * len(fam.operators) * fam.dim ** 4 > 3_000_000
+        res = sub.commutant_info
+        svals, dim_null, proj = _complex_gram_commutant(fam)
+        assert res.dimension == dim_null == expected_dim
+        assert not res.flagged
+        smax = svals[0]
+        kept = len(svals) - dim_null
+        # The null cluster is sqrt(roundoff), ~1e-8 sigma_max on either
+        # route, so it is compared through the squares (Gram eigenvalues).
+        assert np.max(np.abs(res.singular_values[:kept] - svals[:kept])) \
+            <= 1e-12 * smax
+        assert np.max(np.abs(res.singular_values ** 2 - svals ** 2)) \
+            <= 1e-12 * smax ** 2
+        C = np.column_stack([vectorize(B) for B in res.basis])
+        assert max_abs(C @ C.conj().T - proj) <= 1e-10
+        for B in res.basis:
+            assert max_abs(B - B.conj().T) == 0.0
+
+
+def _predual_defect_loop(S, dim_a, w):
+    """The cross-check as a loop over the unit operators, one column of
+    S* at a time (the reference for the batched check)."""
+    dim_b = w.shape[0]
+    d = dim_a * dim_b
+    S_star = trace_pairing_adjoint(S)
+    worst = 0.0
+    for k in range(d * d):
+        unit = np.zeros(d * d, dtype=complex)
+        unit[k] = 1.0
+        got = devectorize(S_star[:, k], d)
+        expect = np.kron(partial_trace(devectorize(unit, d), dim_a, dim_b), w)
+        worst = max(worst, max_abs(got - expect))
+    return worst
+
+
+class TestPredualCrossCheck:
+    def test_batched_equals_loop(self, rng):
+        w = random_density(rng, 3)
+        S = partial_trace_family(2, w).heisenberg_superop()
+        noise = rng.standard_normal(S.shape) + 1j * rng.standard_normal(S.shape)
+        for M in (S, S + 1e-6 * noise):
+            assert _predual_defect(M, 2, w) == _predual_defect_loop(M, 2, w)
+
+    def test_rejects_perturbed_superoperator(self, rng, monkeypatch):
+        w = random_density(rng, 3)
+        original = KrausFamily.heisenberg_superop
+
+        def perturbed(self):
+            S = original(self).copy()
+            S[7, 11] += 1e-8
+            return S
+        monkeypatch.setattr(KrausFamily, "heisenberg_superop", perturbed)
+        with pytest.raises(ValueError, match="predual cross-check"):
+            partial_trace_family(2, w)
 
 
 class TestImageBases:
