@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .coarsegrain import (
     CoarseGrainSchedule,
-    CoarseGrainedPerturbation,
     T_of_lambda,
     coarse_grained_L,
     lamb_shift,
@@ -35,7 +34,6 @@ from .subsystem import (
 __all__ = [
     "__version__",
     "CoarseGrainSchedule",
-    "CoarseGrainedPerturbation",
     "EigenSystem",
     "GeneratorBundle",
     "KrausFamily",

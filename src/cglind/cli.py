@@ -41,9 +41,9 @@ row-major "re im" pairs)::
         0.7 0  -0.1 0
 
 Exit codes: 0 when every asserted invariant passed, 1 on invariant
-failure (witnesses in the JSON summary), 2 on a config parse error.
-The CSV is byte-identical across repeated runs with the same config
-and seed.
+failure (witnesses in the JSON summary), 2 on a config error (a parse
+error or a model that cannot be built).  The CSV is byte-identical
+across repeated runs with the same config and seed.
 """
 
 from __future__ import annotations
@@ -63,23 +63,21 @@ import numpy as np
 
 from . import __version__
 from .coarsegrain import CoarseGrainSchedule
-from .generator import SteadyStateResult, build_generator, evolve, \
+from .generator import PreparedGenerator, SteadyStateResult, evolve, \
     qds_certificate, steady_state
 from .linalg import choi_matrix, expm, is_psd, matrix_from_text
 from .scenarios import (
     PRESETS,
     HeatBathModel,
+    PreparedHeatBath,
+    PreparedQfgr,
     QfgrModel,
-    bath_correlation,
     dual_path_residual,
-    first_order_vanishes,
     gibbs_row,
     gibbs_state,
-    heat_bath_generator,
     projected_error_curve,
-    qfgr_generator,
 )
-from .subsystem import PhysicalSubsystem, build_projection, partial_trace_family
+from .subsystem import build_projection, partial_trace_family
 
 __all__ = ["main", "run_config", "validate_config", "ScenarioConfig", "RunReport"]
 
@@ -176,13 +174,6 @@ def parse_config(path: str) -> ScenarioConfig:
                         matrices[key] = matrix_from_text(raw)
                     except ValueError as exc:
                         issues.append((f"[scenario].{key}", str(exc)))
-            if sector_dims is not None and "h0" in matrices:
-                d = sum(sector_dims)
-                for key in ("h0", "hp"):
-                    if key in matrices and matrices[key].shape != (d, d):
-                        issues.append((f"[scenario].{key}",
-                                       f"shape {matrices[key].shape} does not "
-                                       f"match sector total {d}"))
         else:
             for key in ("h_a", "h_b", "q", "phi"):
                 raw = need("scenario", key)
@@ -250,18 +241,22 @@ def parse_config(path: str) -> ScenarioConfig:
 
     if issues:
         raise ConfigError(issues)
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         kind=kind, preset=preset, sector_dims=sector_dims, matrices=matrices,
         beta=beta, lambdas=lambdas, xi=xi, t_ref=t_ref, time_mode=time_mode,
         t_start=t_start, t_stop=t_stop, t_count=t_count, tau_bar=tau_bar,
         seed=seed, csv_name=csv_name, json_name=json_name)
+    try:
+        _build_model(cfg)
+    except ValueError as exc:  # shapes, Hermiticity, beta, covariance
+        raise ConfigError([("[scenario]", str(exc))]) from exc
+    return cfg
 
 
-def _build_model(cfg: ScenarioConfig, lam: float):
-    sched = CoarseGrainSchedule(lam=lam, xi=cfg.xi, T_ref=cfg.t_ref)
+def _build_model(cfg: ScenarioConfig):
+    sched = CoarseGrainSchedule(lam=cfg.lambdas[0], xi=cfg.xi, T_ref=cfg.t_ref)
     if cfg.preset is not None:
-        model = PRESETS[cfg.preset].builder(lam)
-        return replace(model, schedule=sched)
+        return replace(PRESETS[cfg.preset].builder(), schedule=sched)
     if cfg.kind == "qfgr":
         return QfgrModel(sector_dims=cfg.sector_dims, H0=cfg.matrices["h0"],
                          Hp=cfg.matrices["hp"], schedule=sched)
@@ -302,61 +297,43 @@ def _times_for(cfg: ScenarioConfig, lam: float) -> np.ndarray:
     return np.linspace(cfg.t_start, cfg.t_stop, cfg.t_count)
 
 
-def _choi_min_curve(schrodinger: np.ndarray, times) -> np.ndarray:
-    return np.array([is_psd(choi_matrix(expm(t * schrodinger))).min_eig
-                     for t in times])
-
-
-def _run_lambda(cfg: ScenarioConfig, lam: float,
-                sub: Optional[PhysicalSubsystem]) -> LambdaResult:
+def _run_lambda(cfg: ScenarioConfig, lam: float, general: PreparedGenerator,
+                heat: Optional[PreparedHeatBath]) -> LambdaResult:
+    """One coupling; qfgr runs pass a PreparedQfgr and no ``heat``."""
     times = _times_for(cfg, lam)
+    sched = CoarseGrainSchedule(lam=lam, xi=cfg.xi, T_ref=cfg.t_ref)
     failures: List[str] = []
     extras: dict = {}
     ss = None
-    model = _build_model(cfg, lam)
 
-    if cfg.kind == "qfgr":
-        qgen = qfgr_generator(model)
-        bundle = qgen.bundle
+    if heat is None:
+        qgen = general.generator(sched)
+        gen_bundle = bundle = qgen.bundle
         extras["sector_residual"] = qgen.residual_vs_general
         if qgen.residual_vs_general > 1e-8:
             failures.append(
                 f"sector equations vs general generator: {qgen.residual_vs_general:.3e}")
-        sub = bundle.subsystem
-        errors = projected_error_curve(sub, model.H0, model.Hp, model.schedule,
-                                       times, bundle=bundle)
-        d = sub.dim
-        rho0 = np.zeros((d, d), dtype=complex)
-        rho0[0, 0] = 1.0
-        rho0 = sub.project_state(rho0)
-        rho0 = rho0 / np.trace(rho0).real
-        traj = evolve(bundle, rho0, times)
-        # parse_config caps sector scenarios at FULL_CHOI_DIM_LIMIT
-        choi_min = _choi_min_curve(bundle.schrodinger, times)
     else:
-        H0, Hp = model.full_hamiltonian_parts()
-        spec_bundle = heat_bath_generator(model)
-        gen_bundle = build_generator(sub, H0, Hp, model.schedule)
-        residual = dual_path_residual(model, general=gen_bundle,
-                                      specialized=spec_bundle)
+        gen_bundle, bundle = general.bundle(sched), heat.bundle(sched)
+        residual = dual_path_residual(gen_bundle, bundle)
         extras["dual_path_residual"] = residual
         if residual > 1e-7:
             failures.append(f"dual-path generator mismatch: {residual:.3e}")
-        errors = projected_error_curve(sub, H0, Hp, model.schedule, times,
-                                       bundle=gen_bundle)
-        dA = model.dim_A
-        rho0 = np.zeros((dA, dA), dtype=complex)
-        rho0[0, 0] = 1.0
-        traj = evolve(spec_bundle, rho0, times)
-        if sub.dim <= FULL_CHOI_DIM_LIMIT:
-            choi_min = _choi_min_curve(gen_bundle.schrodinger, times)
-        else:
-            # reduced channel on the system algebra
-            choi_min = _choi_min_curve(spec_bundle.schrodinger, times)
-        ss = steady_state(spec_bundle)
+        ss = steady_state(bundle)
         extras["steady_state_nullspace_dim"] = ss.nullspace_dim
         extras["steady_state_flagged"] = bool(ss.flagged)
-        bundle = spec_bundle
+    errors = projected_error_curve(gen_bundle, general.H0, general.Hp, times)
+    d = bundle.dim
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[0, 0] = 1.0
+    if heat is None:
+        rho0 = bundle.subsystem.project_state(rho0)
+        rho0 = rho0 / np.trace(rho0).real
+    traj = evolve(bundle, rho0, times)
+    # Full-space Choi test up to FULL_CHOI_DIM_LIMIT (parse_config caps
+    # sector scenarios there), else the reduced channel on the system algebra
+    S = (gen_bundle if gen_bundle.dim <= FULL_CHOI_DIM_LIMIT else bundle).schrodinger
+    choi_min = np.array([is_psd(choi_matrix(expm(t * S))).min_eig for t in times])
 
     cert = qds_certificate(bundle, CERTIFICATE_TIMES, rng=cfg.seed)
     cert_dict = {
@@ -389,24 +366,30 @@ def _run_lambda(cfg: ScenarioConfig, lam: float,
 
 def run_config(cfg: ScenarioConfig, config_path: str,
                threads: int = 1) -> RunReport:
-    """Run every coupling; a heat-bath run builds its projection once."""
+    """Run every coupling.  The model, its subsystems and every
+    coupling-independent part of the generators are built once per run;
+    each coupling then takes only its schedule."""
     t0 = time.monotonic()
-    sub = None
-    if cfg.kind == "heat_bath":
-        model = _build_model(cfg, cfg.lambdas[0])
+    model = _build_model(cfg)
+    heat = None
+    if cfg.kind == "qfgr":
+        general = PreparedQfgr(model)
+    else:
+        heat = PreparedHeatBath(model)
         sub = build_projection(partial_trace_family(model.dim_A,
                                                     model.bath_state()))
-        sub.image_bases()  # cached before the workers share the subsystem
+        general = PreparedGenerator(sub, *model.full_hamiltonian_parts())
+    for prepared in filter(None, (general, heat)):
+        prepared.subsystem.image_bases()  # cached before workers share it
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda lam: _run_lambda(cfg, lam, sub),
-                                    cfg.lambdas))
+            results = list(pool.map(
+                lambda lam: _run_lambda(cfg, lam, general, heat), cfg.lambdas))
     else:
-        results = [_run_lambda(cfg, lam, sub) for lam in cfg.lambdas]
+        results = [_run_lambda(cfg, lam, general, heat) for lam in cfg.lambdas]
 
     gibbs = None
-    if cfg.kind == "heat_bath" and first_order_vanishes(
-            model, bath_correlation(model)):
+    if heat is not None and heat.first_order_vanishes():
         target = gibbs_state(model.H_A, model.beta)
         rows = [gibbs_row(r.lam, r.steady, target) for r in results]
         gibbs = [{"lambda": g.lam, "distance": g.distance,

@@ -28,7 +28,6 @@ from .subsystem import PhysicalSubsystem
 
 __all__ = [
     "CoarseGrainSchedule",
-    "CoarseGrainedPerturbation",
     "T_of_lambda",
     "coarse_grained_L",
     "coarse_grained_L_quadrature",
@@ -67,24 +66,13 @@ def T_of_lambda(sched: CoarseGrainSchedule) -> float:
     return abs(sched.lam) ** (-sched.xi) * sched.T_ref
 
 
-@dataclass
-class CoarseGrainedPerturbation:
-    """A frequency-translated coarse-grained perturbation: the window
-    frequency, the window width, and the matrix in the computational
-    basis."""
-
-    omega: float
-    T: float
-    matrix: np.ndarray
-
-
 def _gauss_prefactor(T: float) -> float:
     return np.sqrt(2.0 * np.pi) * np.pi ** -0.25 * np.sqrt(T)
 
 
 def coarse_grained_L(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
-                     omega: float) -> CoarseGrainedPerturbation:
-    """Closed-form coarse-grained perturbation at frequency ``omega``.
+                     omega: float) -> np.ndarray:
+    """Closed-form coarse-grained perturbation matrix at frequency ``omega``.
 
     Satisfies L(-w) = L(w)†; at w = 0 the matrix is Hermitian.
     """
@@ -97,8 +85,7 @@ def coarse_grained_L(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
     Hp_eig = U.conj().T @ Hp @ U
     L_eig = _gauss_prefactor(T) * np.exp(-0.5 * T * T * (omega - delta) ** 2) \
         * Hp_eig
-    return CoarseGrainedPerturbation(omega=omega, T=T,
-                                     matrix=U @ L_eig @ U.conj().T)
+    return U @ L_eig @ U.conj().T
 
 
 def coarse_grained_L_quadrature(h0_eig: EigenSystem, Hp: np.ndarray, T: float,

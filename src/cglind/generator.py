@@ -54,6 +54,7 @@ __all__ = [
     "Trajectory",
     "QdsCertificate",
     "SteadyStateResult",
+    "PreparedGenerator",
     "lindblad_superop",
     "assemble_kt",
     "build_generator",
@@ -173,7 +174,7 @@ def assemble_kt(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
 
 def _kt_pieces(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
     """(shift, decay, jump) of K_T, without assembling K_T itself."""
-    L0 = coarse_grained_L(h0_eig, Hp, T, 0.0).matrix
+    L0 = coarse_grained_L(h0_eig, Hp, T, 0.0)
     W = L0 - sub.project(L0)
     decay = hermitize(sub.project(W @ W))
     jump = sub.heisenberg @ sandwich_superop(W, W)
@@ -200,40 +201,46 @@ def _covariance_defect(H0: np.ndarray, P: np.ndarray) -> float:
     return max_abs(ZP.reshape(dd, dd) - PZ.reshape(dd, dd))
 
 
+class PreparedGenerator:
+    """Coupling-independent half of :func:`build_generator`, made once
+    per run: H0 and H' checked Hermitian, the covariance check (the free
+    commutator superoperator must commute with P0; violation is rejected
+    with the commutator-norm witness), the H0 eigensystem and the
+    projected H0 and H'.  :meth:`bundle` is the per-coupling half."""
+
+    def __init__(self, sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray):
+        self.subsystem = sub
+        self.H0 = require_hermitian(H0, "H0")
+        self.Hp = require_hermitian(Hp, "Hp")
+        comm_dev = _covariance_defect(self.H0, sub.heisenberg)
+        if comm_dev > 1e-10 * (1.0 + max_abs(self.H0)):
+            raise ValueError(
+                "free evolution does not commute with the projection: "
+                f"||[Z, P0]||_max = {comm_dev:.3e}")
+        self.h0_eig = hermitian_eig(self.H0, "H0")
+        self.h_free = hermitize(sub.project(self.H0))
+        self.h_first = hermitize(sub.project(self.Hp))
+
+    def bundle(self, sched: CoarseGrainSchedule) -> GeneratorBundle:
+        """Generator bundle at the coupling of ``sched`` (nonzero)."""
+        lam = sched.lam
+        T = T_of_lambda(sched)
+        shift, decay, jump = _kt_pieces(self.subsystem, self.h0_eig, self.Hp, T)
+        lam2 = lam * lam
+        dec = LindbladDecomposition(
+            h_free=self.h_free,
+            h_first=lam * self.h_first,
+            h_lamb=lam2 * shift,
+            decay=lam2 * decay,
+            jump_map=lam2 * jump,
+        )
+        return GeneratorBundle.from_decomposition(dec, sched, self.subsystem, T)
+
+
 def build_generator(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
-                    sched: CoarseGrainSchedule,
-                    comm_tol: float = 1e-10) -> GeneratorBundle:
-    """Build the full generator bundle for a subsystem and a split
-    Hamiltonian H0 + lam H'.
-
-    Preconditions: H0 and H' Hermitian, lam nonzero, and the free
-    commutator superoperator must commute with the projection (the
-    construction needs a covariant projection); violation is rejected
-    with the commutator-norm witness.
-    """
-    H0 = require_hermitian(H0, "H0")
-    Hp = require_hermitian(Hp, "Hp")
-    lam = sched.lam
-    if lam == 0.0:
-        raise ValueError("lambda must be nonzero to build the generator")
-    comm_dev = _covariance_defect(H0, sub.heisenberg)
-    if comm_dev > comm_tol * (1.0 + max_abs(H0)):
-        raise ValueError(
-            "free evolution does not commute with the projection: "
-            f"||[Z, P0]||_max = {comm_dev:.3e}")
-
-    T = T_of_lambda(sched)
-    h0_eig = hermitian_eig(H0, "H0")
-    shift, decay, jump = _kt_pieces(sub, h0_eig, Hp, T)
-    lam2 = lam * lam
-    dec = LindbladDecomposition(
-        h_free=hermitize(sub.project(H0)),
-        h_first=lam * hermitize(sub.project(Hp)),
-        h_lamb=lam2 * shift,
-        decay=lam2 * decay,
-        jump_map=lam2 * jump,
-    )
-    return GeneratorBundle.from_decomposition(dec, sched, sub, T)
+                    sched: CoarseGrainSchedule) -> GeneratorBundle:
+    """Both halves of :class:`PreparedGenerator` at one coupling."""
+    return PreparedGenerator(sub, H0, Hp).bundle(sched)
 
 
 def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
@@ -486,7 +493,8 @@ def steady_state(bundle: GeneratorBundle, zero_tol: float = 1e-9,
 
     Reports the nullspace dimension; when it is one, the unique state
     is returned trace-normalized.  An ambiguous singular-value gap or a
-    multi-dimensional nullspace is flagged rather than resolved.
+    multi-dimensional nullspace is flagged rather than resolved, with the
+    cause in ``note`` (for a small gap: the gap, gap_tol, their distance).
     """
     s, B = bundle.restricted_schrodinger()
     _, svals, vh = np.linalg.svd(s)
@@ -508,11 +516,12 @@ def steady_state(bundle: GeneratorBundle, zero_tol: float = 1e-9,
                                  note="null vector is traceless; cannot normalize")
     rho = rho / tr
     min_eig = float(np.linalg.eigvalsh(rho)[0])
-    note = ""
+    notes = [f"gap {gap:.3e} below gap_tol {gap_tol:.3e} (distance "
+             f"{gap_tol - gap:.3e})"] if gap < gap_tol else []
     if min_eig < -1e-9:
         flagged = True
-        note = f"normalized null state not PSD (min eig {min_eig:.3e})"
-    return SteadyStateResult(rho, 1, gap, flagged, note=note)
+        notes.append(f"normalized null state not PSD (min eig {min_eig:.3e})")
+    return SteadyStateResult(rho, 1, gap, flagged, note="; ".join(notes))
 
 
 def export_bundle(bundle: GeneratorBundle, directory) -> None:

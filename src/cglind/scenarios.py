@@ -32,7 +32,7 @@ import numpy as np
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda, coarse_grained_L, \
     lamb_shift, pv_shift_eigenbasis
 from .generator import GeneratorBundle, LindbladDecomposition, \
-    SteadyStateResult, build_generator, steady_state
+    PreparedGenerator, SteadyStateResult, build_generator, steady_state
 from .linalg import (
     anticommutator_superop,
     commutator_superop,
@@ -54,6 +54,7 @@ __all__ = [
     "QfgrModel",
     "ScatteringOperators",
     "QfgrGenerator",
+    "PreparedQfgr",
     "qfgr_generator",
     "FgrRateRow",
     "fgr_rate_check",
@@ -61,10 +62,10 @@ __all__ = [
     "CorrelationData",
     "gibbs_state",
     "bath_correlation",
+    "PreparedHeatBath",
     "heat_bath_generator",
     "general_heat_bath_bundle",
     "dual_path_residual",
-    "first_order_vanishes",
     "GibbsRow",
     "gibbs_row",
     "gibbs_limit_study",
@@ -102,8 +103,9 @@ class QfgrModel:
         self.H0 = require_hermitian(self.H0, "H0")
         self.Hp = require_hermitian(self.Hp, "Hp")
         projs = sector_family(self.sector_dims).operators
-        if projs[0].shape != self.H0.shape:
-            raise ValueError("sector dims do not match Hamiltonian dimension")
+        if projs[0].shape != self.H0.shape or self.Hp.shape != self.H0.shape:
+            raise ValueError(f"H0 {self.H0.shape} and Hp {self.Hp.shape} must "
+                             f"match the sector total {projs[0].shape[0]}")
         worst = max(max_abs(self.H0 @ P - P @ self.H0) for P in projs)
         if worst > 1e-12 * (1.0 + max_abs(self.H0)):
             raise ValueError(
@@ -122,7 +124,6 @@ class ScatteringOperators:
 
 @dataclass
 class QfgrGenerator:
-    model: QfgrModel
     subsystem: PhysicalSubsystem
     scattering: ScatteringOperators
     effective_hamiltonian: np.ndarray
@@ -132,66 +133,79 @@ class QfgrGenerator:
     residual_vs_general: float
 
 
-def qfgr_generator(m: QfgrModel, verify: bool = True,
-                   tol: float = 1e-8) -> QfgrGenerator:
-    """Coupled per-sector state equations
+class PreparedQfgr(PreparedGenerator):
+    """Coupling-independent part of :func:`qfgr_generator`, made once per
+    run: the general preparation on the sector subsystem, whose Kraus
+    operators are the projectors; :meth:`generator` is the per-coupling part."""
 
-        d rho_a = -i [H_a + lam H'_a + lam^2 H''_a, rho_a]
-                  - (lam^2/2) sum_{b != a} {D[a][b]† D[a][b], rho_a}
-                  + lam^2 sum_{b != a} D[b][a] rho_b D[b][a]†,
+    def __init__(self, m: QfgrModel):
+        super().__init__(build_projection(sector_family(m.sector_dims)),
+                         m.H0, m.Hp)
 
-    with D[src][dst] = V_dst L V_src.  Note the jump term uses the
-    amplitudes oriented source -> destination; the transposed indexing
-    sometimes written for it annihilates every block-diagonal state and
-    cannot reproduce the general construction.  The assembled
-    superoperator is verified against the general generator restricted
-    to block-diagonal states (max entry <= tol).
-    """
-    projs = sector_family(m.sector_dims).operators
-    sub = build_projection(sector_family(m.sector_dims))
-    lam = m.schedule.lam
-    lam2 = lam * lam
-    T = T_of_lambda(m.schedule)
-    eig = hermitian_eig(m.H0, "H0")
-    L = coarse_grained_L(eig, m.Hp, T, 0.0).matrix
+    def generator(self, sched: CoarseGrainSchedule) -> QfgrGenerator:
+        """Coupled per-sector state equations
 
-    n_sec = len(projs)
-    amplitudes = {}
-    for src in range(n_sec):
-        for dst in range(n_sec):
-            if src != dst:
-                amplitudes[(src, dst)] = projs[dst] @ L @ projs[src]
+            d rho_a = -i [H_a + lam H'_a + lam^2 H''_a, rho_a]
+                      - (lam^2/2) sum_{b != a} {D[a][b]† D[a][b], rho_a}
+                      + lam^2 sum_{b != a} D[b][a] rho_b D[b][a]†,
 
-    shift_add = -lamb_shift(eig, m.Hp, T, sub)
-    shifts = [P @ shift_add @ P for P in projs]
+        with D[src][dst] = V_dst L V_src.  Note the jump term uses the
+        amplitudes oriented source -> destination; the transposed
+        indexing sometimes written for it annihilates every
+        block-diagonal state and cannot reproduce the general
+        construction.  The assembled superoperator is verified against
+        the general generator restricted to block-diagonal states (max
+        entry <= 1e-8).
+        """
+        sub, eig, H0, Hp = self.subsystem, self.h0_eig, self.H0, self.Hp
+        projs = sub.kraus.operators
+        lam = sched.lam
+        lam2 = lam * lam
+        T = T_of_lambda(sched)
+        L = coarse_grained_L(eig, Hp, T, 0.0)
 
-    h_eff = sub.project(m.H0) + lam * sub.project(m.Hp) + lam2 * shift_add
-    h_eff = hermitize(h_eff)
-    d = sub.dim
-    rate_sum = np.zeros((d, d), dtype=complex)
-    for (src, dst), D in amplitudes.items():
-        rate_sum += D.conj().T @ D
+        n_sec = len(projs)
+        amplitudes = {}
+        for src in range(n_sec):
+            for dst in range(n_sec):
+                if src != dst:
+                    amplitudes[(src, dst)] = projs[dst] @ L @ projs[src]
 
-    S = -1j * commutator_superop(h_eff) \
-        - 0.5 * lam2 * anticommutator_superop(rate_sum)
-    for D in amplitudes.values():
-        S += lam2 * np.kron(D.conj(), D)
+        shift_add = -lamb_shift(eig, Hp, T, sub)
+        shifts = [P @ shift_add @ P for P in projs]
 
-    bundle = build_generator(sub, m.H0, m.Hp, m.schedule)
-    P_star = sub.schrodinger
-    general_q = P_star @ bundle.schrodinger @ P_star
-    residual = max_abs((S - general_q) @ P_star)
-    if verify and residual > tol:
-        raise ValueError(
-            f"sector equations disagree with the general generator: "
-            f"max entry {residual:.3e} > {tol:.1e}")
-    return QfgrGenerator(model=m, subsystem=sub,
-                         scattering=ScatteringOperators(amplitudes, shifts),
-                         effective_hamiltonian=h_eff,
-                         rate_sum=lam2 * rate_sum,
-                         schrodinger=S,
-                         bundle=bundle,
-                         residual_vs_general=residual)
+        h_eff = sub.project(H0) + lam * sub.project(Hp) + lam2 * shift_add
+        h_eff = hermitize(h_eff)
+        d = sub.dim
+        rate_sum = np.zeros((d, d), dtype=complex)
+        for (src, dst), D in amplitudes.items():
+            rate_sum += D.conj().T @ D
+
+        S = -1j * commutator_superop(h_eff) \
+            - 0.5 * lam2 * anticommutator_superop(rate_sum)
+        for D in amplitudes.values():
+            S += lam2 * np.kron(D.conj(), D)
+
+        bundle = self.bundle(sched)
+        P_star = sub.schrodinger
+        general_q = P_star @ bundle.schrodinger @ P_star
+        residual = max_abs((S - general_q) @ P_star)
+        if residual > 1e-8:
+            raise ValueError(
+                f"sector equations disagree with the general generator: "
+                f"max entry {residual:.3e} > 1e-8")
+        return QfgrGenerator(subsystem=sub,
+                             scattering=ScatteringOperators(amplitudes, shifts),
+                             effective_hamiltonian=h_eff,
+                             rate_sum=lam2 * rate_sum,
+                             schrodinger=S,
+                             bundle=bundle,
+                             residual_vs_general=residual)
+
+
+def qfgr_generator(m: QfgrModel) -> QfgrGenerator:
+    """Both parts of :class:`PreparedQfgr` at the model's coupling."""
+    return PreparedQfgr(m).generator(m.schedule)
 
 
 @dataclass
@@ -265,6 +279,9 @@ class HeatBathModel:
         self.Phi = require_hermitian(self.Phi, "Phi")
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        if self.Q.shape != self.H_A.shape or self.Phi.shape != self.H_B.shape:
+            raise ValueError(f"Q {self.Q.shape} must match H_A {self.H_A.shape}, "
+                             f"Phi {self.Phi.shape} must match H_B {self.H_B.shape}")
 
     @property
     def dim_A(self) -> int:
@@ -303,17 +320,16 @@ class CorrelationData:
             self.weights * np.exp(1j * self.frequencies * float(t)))
 
 
-def bath_correlation(m: HeatBathModel,
-                     merge_tol: float = 1e-10) -> CorrelationData:
+def bath_correlation(m: HeatBathModel) -> CorrelationData:
     """Exact spectral decomposition of the bath correlation function in
     the bath eigenbasis: a line at every level difference e_m - e_n
     with weight p_m |Phi_mn|^2 (Gibbs population of the first index).
 
-    Lines closer than ``merge_tol`` are merged (weight-averaged
-    position); the zero bin of the connected weights is reduced by the
-    squared first-order mean, which never drives it negative beyond
-    roundoff.
+    Lines closer than 1e-10 are merged (weight-averaged position); the
+    zero bin of the connected weights is reduced by the squared
+    first-order mean, which never drives it negative beyond roundoff.
     """
+    merge_tol = 1e-10
     evals, evecs = np.linalg.eigh(m.H_B)
     w = np.exp(-m.beta * (evals - evals.min()))
     pops = w / w.sum()
@@ -364,54 +380,71 @@ def bath_correlation(m: HeatBathModel,
                            connected_weights=connected)
 
 
+class PreparedHeatBath:
+    """Coupling-independent part of :func:`heat_bath_generator`, made
+    once per run: the bath correlation comb, the H_A eigensystem, Q in
+    that eigenbasis and the trivial subsystem B(H_A).  :meth:`bundle` is
+    the per-coupling part."""
+
+    def __init__(self, m: HeatBathModel):
+        self.model = m
+        self.corr = bath_correlation(m)
+        self.eigA = hermitian_eig(m.H_A, "H_A")
+        self.Q_eig = self.eigA.vectors.conj().T @ m.Q @ self.eigA.vectors
+        self.subsystem = build_projection(trivial_family(m.dim_A))
+
+    def first_order_vanishes(self) -> bool:
+        """Whether the bath mean Tr(sigma Phi) is below 1e-10 (1 + max|Phi|)."""
+        return abs(self.corr.mean) <= 1e-10 * (1.0 + max_abs(self.model.Phi))
+
+    def bundle(self, sched: CoarseGrainSchedule) -> GeneratorBundle:
+        """Specialized generator on the system algebra B(H_A).
+
+        The finite bath makes the correlation transform a weighted comb,
+        so the frequency integral becomes an exact sum over spectral
+        lines of dissipators built from the frequency-translated
+        coarse-grained system operators Q_w; the zero line carries the
+        connected subtraction, and the inner principal-value integral of
+        each line is the shared kernel :func:`pv_shift_eigenbasis` (the
+        one behind :func:`lamb_shift`) with the window translated by the
+        line frequency.  First-order term: i * mean * [Q, .].
+        """
+        m, corr, eigA = self.model, self.corr, self.eigA
+        lam = sched.lam
+        lam2 = lam * lam
+        T = T_of_lambda(sched)
+        U, eps = eigA.vectors, eigA.values
+        dA = m.dim_A
+
+        weight_scale = max(1.0, float(np.max(np.abs(corr.connected_weights))))
+        decay = np.zeros((dA, dA), dtype=complex)
+        jump = np.zeros((dA * dA, dA * dA), dtype=complex)
+        shift_pos = np.zeros((dA, dA), dtype=complex)
+        for wk, ck in zip(corr.frequencies, corr.connected_weights):
+            if abs(ck) <= 1e-15 * weight_scale:
+                continue
+            Qw = coarse_grained_L(eigA, m.Q, T, wk)
+            decay += ck * (Qw.conj().T @ Qw)
+            jump += ck * sandwich_superop(Qw.conj().T, Qw)
+            S_pre = pv_shift_eigenbasis(eps, self.Q_eig, T, wk)
+            shift_pos += ck * (U @ S_pre @ U.conj().T)
+
+        decay = hermitize(decay)
+        shift_add = -hermitize(shift_pos)
+
+        dec = LindbladDecomposition(
+            h_free=m.H_A.astype(complex),
+            h_first=lam * corr.mean * m.Q,
+            h_lamb=lam2 * shift_add,
+            decay=lam2 * decay,
+            jump_map=lam2 * jump,
+        )
+        return GeneratorBundle.from_decomposition(dec, sched, self.subsystem, T)
+
+
 def heat_bath_generator(m: HeatBathModel) -> GeneratorBundle:
-    """Specialized generator on the system algebra B(H_A).
-
-    The finite bath makes the correlation transform a weighted comb, so
-    the frequency integral becomes an exact sum over spectral lines of
-    dissipators built from the frequency-translated coarse-grained
-    system operators Q_w; the zero line carries the connected
-    subtraction, and the inner principal-value integral of each line is
-    the shared kernel :func:`pv_shift_eigenbasis` (the one behind
-    :func:`lamb_shift`) with the window translated by the line frequency.
-    First-order term: i * mean * [Q, .].
-    """
-    lam = m.schedule.lam
-    if lam == 0.0:
-        raise ValueError("lambda must be nonzero to build the generator")
-    lam2 = lam * lam
-    T = T_of_lambda(m.schedule)
-    corr = bath_correlation(m)
-    eigA = hermitian_eig(m.H_A, "H_A")
-    U, eps = eigA.vectors, eigA.values
-    Q_eig = U.conj().T @ m.Q @ U
-    dA = m.dim_A
-
-    weight_scale = max(1.0, float(np.max(np.abs(corr.connected_weights))))
-    decay = np.zeros((dA, dA), dtype=complex)
-    jump = np.zeros((dA * dA, dA * dA), dtype=complex)
-    shift_pos = np.zeros((dA, dA), dtype=complex)
-    for wk, ck in zip(corr.frequencies, corr.connected_weights):
-        if abs(ck) <= 1e-15 * weight_scale:
-            continue
-        Qw = coarse_grained_L(eigA, m.Q, T, wk).matrix
-        decay += ck * (Qw.conj().T @ Qw)
-        jump += ck * sandwich_superop(Qw.conj().T, Qw)
-        S_pre = pv_shift_eigenbasis(eps, Q_eig, T, wk)
-        shift_pos += ck * (U @ S_pre @ U.conj().T)
-
-    decay = hermitize(decay)
-    shift_add = -hermitize(shift_pos)
-
-    sub = build_projection(trivial_family(dA))
-    dec = LindbladDecomposition(
-        h_free=m.H_A.astype(complex),
-        h_first=lam * corr.mean * m.Q,
-        h_lamb=lam2 * shift_add,
-        decay=lam2 * decay,
-        jump_map=lam2 * jump,
-    )
-    return GeneratorBundle.from_decomposition(dec, m.schedule, sub, T)
+    """Both parts of :class:`PreparedHeatBath` at the model's coupling."""
+    return PreparedHeatBath(m).bundle(m.schedule)
 
 
 def general_heat_bath_bundle(m: HeatBathModel) -> GeneratorBundle:
@@ -422,32 +455,26 @@ def general_heat_bath_bundle(m: HeatBathModel) -> GeneratorBundle:
     return build_generator(sub, H0, Hp, m.schedule)
 
 
-def dual_path_residual(m: HeatBathModel,
-                       general: Optional[GeneratorBundle] = None,
-                       specialized: Optional[GeneratorBundle] = None) -> float:
-    """Max-entry mismatch of the two derivations of the same generator,
-    compared through the Heisenberg action on an operator basis of the
-    embedded system algebra."""
-    spec_b = specialized if specialized is not None else heat_bath_generator(m)
-    gen_b = general if general is not None else general_heat_bath_bundle(m)
-    dA, dB = m.dim_A, m.dim_B
+def dual_path_residual(general: GeneratorBundle,
+                       specialized: GeneratorBundle) -> float:
+    """Max-entry mismatch of the two derivations of the same heat-bath
+    generator, the general bundle on A kron B and the specialized one on
+    B(H_A), compared through the Heisenberg action on an operator basis
+    of the embedded system algebra."""
+    dA = specialized.dim
+    dB = general.dim // dA
     eyeB = np.eye(dB, dtype=complex)
     worst = 0.0
     for r in range(dA):
         for c in range(dA):
             E = np.zeros((dA, dA), dtype=complex)
             E[r, c] = 1.0
-            lhs = devectorize(gen_b.heisenberg @ vectorize(np.kron(E, eyeB)),
-                              dA * dB)
-            rhs = np.kron(devectorize(spec_b.heisenberg @ vectorize(E), dA),
-                          eyeB)
+            lhs = devectorize(general.heisenberg
+                              @ vectorize(np.kron(E, eyeB)), dA * dB)
+            rhs = np.kron(devectorize(specialized.heisenberg @ vectorize(E),
+                                      dA), eyeB)
             worst = max(worst, max_abs(lhs - rhs))
     return worst
-
-
-def first_order_vanishes(m: HeatBathModel, corr: CorrelationData) -> bool:
-    """Whether the bath mean Tr(sigma Phi) vanishes to 1e-10 relative to Phi."""
-    return abs(corr.mean) <= 1e-10 * (1.0 + max_abs(m.Phi))
 
 
 @dataclass
@@ -473,17 +500,16 @@ def gibbs_limit_study(m: HeatBathModel,
     """Steady-state distance to the system Gibbs state over a coupling
     grid, for models with vanishing first-order term (Phi traceless
     against the bath state, so the mean drops out)."""
-    corr = bath_correlation(m)
-    if not first_order_vanishes(m, corr):
+    prepared = PreparedHeatBath(m)
+    if not prepared.first_order_vanishes():
         raise ValueError(
             f"gibbs_limit_study needs a vanishing first-order term "
-            f"(Tr(sigma Phi) = {corr.mean:.3e}); choose Phi traceless "
-            "against the bath state")
+            f"(Tr(sigma Phi) = {prepared.corr.mean:.3e}); choose Phi "
+            "traceless against the bath state")
     target = gibbs_state(m.H_A, m.beta)
     rows = []
     for lam in lambda_grid:
-        model = replace(m, schedule=replace(m.schedule, lam=lam))
-        ss = steady_state(heat_bath_generator(model))
+        ss = steady_state(prepared.bundle(replace(m.schedule, lam=lam)))
         rows.append(gibbs_row(lam, ss, target))
     return rows
 
@@ -505,17 +531,13 @@ class SweepResult:
     sup_error: Dict[float, float]
 
 
-def projected_error_curve(sub: PhysicalSubsystem, H0: np.ndarray,
-                          Hp: np.ndarray, sched: CoarseGrainSchedule,
-                          times: Sequence[float],
-                          bundle: Optional[GeneratorBundle] = None
+def projected_error_curve(bundle: GeneratorBundle, H0: np.ndarray,
+                          Hp: np.ndarray, times: Sequence[float]
                           ) -> np.ndarray:
     """Spectral-norm difference, on the observable image, between the
-    exact projected evolution P0 exp(t(Z + lam A)) P0 and the
-    semigroup approximation, per time point."""
-    if bundle is None:
-        bundle = build_generator(sub, H0, Hp, sched)
-    lam = sched.lam
+    exact projected evolution P0 exp(t(Z + lam A)) P0 and the semigroup
+    approximation ``bundle`` of H0 + lam H', per time point."""
+    sub, lam = bundle.subsystem, bundle.schedule.lam
     d = sub.dim
     B = sub.image_bases()[0]
     k = B.shape[1]
@@ -549,12 +571,13 @@ def weak_coupling_sweep(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
         raise ValueError(f"sweep needs full-space dim <= 32, got {sub.dim}")
     if n_times < 2 or tau_bar <= 0:
         raise ValueError("need tau_bar > 0 and at least two time points")
+    prepared = PreparedGenerator(sub, H0, Hp)
     rows: List[SweepRow] = []
     sups: Dict[float, float] = {}
     for sched in schedules:
         lam = sched.lam
         times = np.linspace(0.0, tau_bar / (lam * lam), n_times)
-        errs = projected_error_curve(sub, H0, Hp, sched, times)
+        errs = projected_error_curve(prepared.bundle(sched), H0, Hp, times)
         for t, e in zip(times, errs):
             rows.append(SweepRow(lam=lam, t=float(t), error=float(e)))
         sups[lam] = float(np.max(errs))

@@ -201,7 +201,8 @@ def test_06_heat_bath_dual_path():
             beta=beta,
             schedule=CoarseGrainSchedule(lam=lam, xi=1.0, T_ref=1.0),
         )
-        dev = dual_path_residual(model)
+        dev = dual_path_residual(general_heat_bath_bundle(model),
+                                 heat_bath_generator(model))
         worst = max(worst, dev)
         assert dev <= 1e-7, f"model {k}: {dev:.3e}"
     report(6, worst <= 1e-7, "specialized vs general heat-bath generator x3",

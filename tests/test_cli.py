@@ -1,9 +1,10 @@
 import json
 import os
+import sys
 
 import pytest
 
-from cglind import cli, scenarios, subsystem
+from cglind import cli, generator, scenarios, subsystem
 from cglind.cli import main, parse_config, ConfigError
 
 BASE_QFGR = """\
@@ -55,6 +56,39 @@ count = 3
 [output]
 csv = inline.csv
 json = inline.json
+"""
+
+INLINE_HEAT_BATH = """\
+[scenario]
+kind = heat_bath
+h_a = 2 2
+    0.5 0  0 0
+    0 0  -0.5 0
+h_b = 2 2
+    0 0  0 0
+    0 0  1 0
+q = 2 2
+    0 0  1 0
+    1 0  0 0
+phi = 2 2
+    0 0  1 0
+    1 0  0 0
+beta = 1.0
+
+[schedule]
+lambda = 0.3
+xi = 1.0
+t_ref = 1.0
+
+[time]
+mode = explicit
+start = 0.0
+stop = 2.0
+count = 3
+
+[output]
+csv = hb.csv
+json = hb.json
 """
 
 GIBBS = """\
@@ -156,6 +190,29 @@ class TestValidate:
         assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 2
         assert "[scenario].kind" in capsys.readouterr().err
 
+    # Configs that parse but whose model cannot be built: each is a config
+    # error (exit 2) for validate and run alike, with the cause on stderr.
+    @pytest.mark.parametrize("text, old, new, cause", [
+        (INLINE_HEAT_BATH, "beta = 1.0", "beta = -1.0", "beta"),
+        (INLINE_HEAT_BATH, "q = 2 2\n    0 0  1 0\n    1 0  0 0",
+         "q = 2 2\n    0 0  1 0\n    0 0  0 0", "Q is not Hermitian"),
+        (INLINE_HEAT_BATH, "phi = 2 2\n    0 0  1 0\n    1 0  0 0",
+         "phi = 3 3\n    0 0  1 0  0 0\n    1 0  0 0  1 0\n    0 0  1 0  0 0",
+         "Phi (3, 3) must match H_B (2, 2)"),
+        (INLINE_QFGR, "    0.3 0  0 0\n    0 0  -0.5 0",
+         "    0.3 0  0.1 0\n    0.1 0  -0.5 0", "H0 must commute"),
+    ], ids=["negative-beta", "non-hermitian-q", "phi-shape", "h0-off-sector"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unbuildable_model_exit_2(self, tmp_path, capsys, text, old, new,
+                                      cause, command):
+        assert old in text
+        cfg = write_config(tmp_path, text.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [scenario]: " in err and cause in err
+        assert not out.exists()
+
     def test_parse_config_collects_issues(self, tmp_path):
         cfg = write_config(tmp_path, BASE_QFGR
                            .replace("xi = 1.0", "xi = 2.5")
@@ -189,6 +246,13 @@ class TestRun:
         _, rows = read_csv_rows(out / "inline.csv")
         assert len(rows) == 3
 
+    def test_inline_heat_bath(self, tmp_path):
+        cfg = write_config(tmp_path, INLINE_HEAT_BATH)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "run", cfg]) == 0
+        _, rows = read_csv_rows(out / "hb.csv")
+        assert len(rows) == 3
+
     def test_gibbs_preset_summary(self, tmp_path):
         cfg = write_config(tmp_path, GIBBS)
         out = tmp_path / "out"
@@ -206,19 +270,41 @@ class TestRun:
         assert main(["--out-dir", str(out2), "run", cfg]) == 0
         assert (out1 / "out.csv").read_bytes() == (out2 / "out.csv").read_bytes()
 
-    @pytest.mark.parametrize("text, csv", [(BASE_QFGR, "out.csv"),
-                                           (GIBBS, "gibbs.csv")],
-                             ids=["qfgr", "gibbs"])
-    def test_threaded_run_matches_serial(self, tmp_path, text, csv):
-        # heat-bath workers share one subsystem and its cached image bases
-        cfg = write_config(tmp_path, text)
+    @pytest.mark.parametrize("text, couplings, csv", [
+        (BASE_QFGR, ("lambda = 0.5 0.25", "lambda = 0.5 0.4 0.3 0.25"),
+         "out.csv"),
+        (GIBBS, ("lambda = 0.3 0.1", "lambda = 0.3 0.2 0.15 0.1"),
+         "gibbs.csv"),
+    ], ids=["qfgr", "gibbs"])
+    def test_threaded_run_matches_serial(self, tmp_path, text, couplings, csv):
+        # The workers share the prepared state, its subsystems and their
+        # cached image bases.  More workers than cores and a short switch
+        # interval give a write to shared state every chance to show.
+        cfg = write_config(tmp_path, text.replace(*couplings))
         out1, out2 = tmp_path / "serial", tmp_path / "threaded"
         assert main(["--out-dir", str(out1), "run", cfg]) == 0
-        assert main(["--out-dir", str(out2), "--threads", "2", "run", cfg]) == 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert main(["--out-dir", str(out2), "--threads", "4", "run",
+                         cfg]) == 0
+        finally:
+            sys.setswitchinterval(interval)
         assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
-    def test_heat_bath_builds_projection_once(self, tmp_path, monkeypatch):
-        calls = dict.fromkeys(["partial_trace_family", "heat_bath_generator"], 0)
+    # Three couplings; the coupling-independent work runs once per run.  A
+    # heat-bath run builds the partial-trace and the trivial subsystem.
+    @pytest.mark.parametrize("text, couplings, expected", [
+        (GIBBS, ("lambda = 0.3 0.1", "lambda = 0.3 0.2 0.1"),
+         {"partial_trace_family": 1, "build_projection": 2,
+          "bath_correlation": 1, "_covariance_defect": 1}),
+        (BASE_QFGR, ("lambda = 0.5 0.25", "lambda = 0.5 0.25 0.1"),
+         {"partial_trace_family": 0, "build_projection": 1,
+          "bath_correlation": 0, "_covariance_defect": 1}),
+    ], ids=["heat_bath", "qfgr"])
+    def test_coupling_independent_work_once(self, tmp_path, monkeypatch,
+                                            text, couplings, expected):
+        calls = dict.fromkeys(expected, 0)
 
         def counting(name, original):
             def counted(*args, **kwargs):
@@ -226,19 +312,19 @@ class TestRun:
                 return original(*args, **kwargs)
             return counted
         for name in calls:
-            counted = counting(name, getattr(scenarios, name))
-            for mod in (cli, scenarios):
-                monkeypatch.setattr(mod, name, counted)
-        cfg = write_config(tmp_path, GIBBS.replace("lambda = 0.3 0.1",
-                                                   "lambda = 0.3 0.2 0.1"))
+            for mod in (cli, generator, scenarios, subsystem):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name,
+                                        counting(name, getattr(mod, name)))
+        cfg = write_config(tmp_path, text.replace(*couplings))
         assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 0
-        assert calls == {"partial_trace_family": 1, "heat_bath_generator": 3}
+        assert calls == expected
 
     def test_heat_bath_builds_superoperator_once(self, tmp_path, monkeypatch):
         # The partial-trace family's superoperator serves the predual
-        # cross-check, build_projection and the commutant.  Each coupling
-        # also builds a trivial qubit subsystem, whose superoperator is
-        # 4 x 4 and is left out here.
+        # cross-check, build_projection and the commutant.  The run also
+        # builds a trivial qubit subsystem, whose superoperator is 4 x 4
+        # and is left out here.
         returned = []
         original = subsystem.KrausFamily.heisenberg_superop
 

@@ -49,7 +49,7 @@ class TestCoarseGrainedL:
         Hp = random_hermitian(rng, 3)
         T = 1.7
         eig = hermitian_eig(np.zeros((3, 3)))
-        L = coarse_grained_L(eig, Hp, T, 0.0).matrix
+        L = coarse_grained_L(eig, Hp, T, 0.0)
         expected = np.sqrt(2.0) * np.pi ** 0.25 * np.sqrt(T) * Hp
         np.testing.assert_allclose(L, expected, atol=1e-12)
         quad = coarse_grained_L_quadrature(eig, Hp, T, 0.0)
@@ -58,7 +58,7 @@ class TestCoarseGrainedL:
     def test_qubit_closed_form_entries(self):
         # level spacing 2, window T = 1: off-diagonals sqrt(2) pi^(1/4) e^-2
         eig = hermitian_eig(SZ)
-        L = coarse_grained_L(eig, SX, 1.0, 0.0).matrix
+        L = coarse_grained_L(eig, SX, 1.0, 0.0)
         val = np.sqrt(2.0) * np.pi ** 0.25 * np.exp(-2.0)
         np.testing.assert_allclose(np.diag(L), [0.0, 0.0], atol=1e-15)
         assert abs(L[0, 1] - val) < 1e-12
@@ -69,7 +69,7 @@ class TestCoarseGrainedL:
         Hp = random_hermitian(rng, 4)
         eig = hermitian_eig(H0)
         for omega in (0.0, 0.6, -1.1):
-            closed = coarse_grained_L(eig, Hp, 1.3, omega).matrix
+            closed = coarse_grained_L(eig, Hp, 1.3, omega)
             quad = coarse_grained_L_quadrature(eig, Hp, 1.3, omega)
             assert max_abs(closed - quad) < 1e-8
 
@@ -106,20 +106,20 @@ class TestCoarseGrainedL:
         eig = hermitian_eig(random_hermitian(rng, 4))
         Hp = random_hermitian(rng, 4)
         for omega in (0.3, 1.7, -0.9):
-            Lp = coarse_grained_L(eig, Hp, 0.8, omega).matrix
-            Lm = coarse_grained_L(eig, Hp, 0.8, -omega).matrix
+            Lp = coarse_grained_L(eig, Hp, 0.8, omega)
+            Lm = coarse_grained_L(eig, Hp, 0.8, -omega)
             assert max_abs(Lm - Lp.conj().T) < 1e-10
 
     def test_zero_frequency_hermitian(self, rng):
         eig = hermitian_eig(random_hermitian(rng, 5))
-        L = coarse_grained_L(eig, random_hermitian(rng, 5), 1.1, 0.0).matrix
+        L = coarse_grained_L(eig, random_hermitian(rng, 5), 1.1, 0.0)
         assert max_abs(L - L.conj().T) < 1e-10
 
     def test_linear_in_perturbation(self, rng):
         eig = hermitian_eig(random_hermitian(rng, 3))
         Hp = random_hermitian(rng, 3)
-        L1 = coarse_grained_L(eig, Hp, 1.0, 0.4).matrix
-        L2 = coarse_grained_L(eig, 2.5 * Hp, 1.0, 0.4).matrix
+        L1 = coarse_grained_L(eig, Hp, 1.0, 0.4)
+        L2 = coarse_grained_L(eig, 2.5 * Hp, 1.0, 0.4)
         np.testing.assert_allclose(L2, 2.5 * L1, atol=1e-12)
 
     def test_large_window_limit(self):
@@ -127,8 +127,8 @@ class TestCoarseGrainedL:
         # like sqrt(T)
         eig = hermitian_eig(SZ)
         Hp = SX + 0.5 * SZ
-        L1 = coarse_grained_L(eig, Hp, 2.0, 0.0).matrix
-        L2 = coarse_grained_L(eig, Hp, 4.0, 0.0).matrix
+        L1 = coarse_grained_L(eig, Hp, 2.0, 0.0)
+        L2 = coarse_grained_L(eig, Hp, 4.0, 0.0)
         ratio_offdiag = abs(L2[0, 1]) / abs(L1[0, 1])
         # amplitude ratio sqrt(T2/T1) * exp(-(T2^2 - T1^2) * 4 / 2)
         expected = np.sqrt(2.0) * np.exp(-(16.0 - 4.0) * 2.0)
@@ -140,7 +140,7 @@ class TestCoarseGrainedL:
         sub = build_projection(sector_family([1, 1]))
         eig = hermitian_eig(SZ)
         for omega in (0.0, 0.8):
-            L = coarse_grained_L(eig, random_hermitian(rng, 2), 1.0, omega).matrix
+            L = coarse_grained_L(eig, random_hermitian(rng, 2), 1.0, omega)
             mean = sub.project(L)
             assert max_abs(sub.project(mean) - mean) < 1e-12
 

@@ -196,7 +196,17 @@ class TestHeatBathGenerator:
         np.testing.assert_allclose(bundle.heisenberg, expected, atol=1e-12)
 
     def test_dual_path_agreement(self):
-        assert dual_path_residual(heat_bath_qutrit_model()) <= 1e-7
+        m = heat_bath_qutrit_model()
+        assert dual_path_residual(general_heat_bath_bundle(m),
+                                  heat_bath_generator(m)) <= 1e-7
+
+    def test_steady_state_note_names_small_gap(self):
+        ss = steady_state(heat_bath_generator(reference_heat_bath_model()),
+                          gap_tol=2.0)
+        assert ss.flagged and ss.nullspace_dim == 1
+        for part in (f"gap {ss.gap:.3e}", "gap_tol 2.000e+00",
+                     f"distance {2.0 - ss.gap:.3e}"):
+            assert part in ss.note
 
     def test_certificate(self):
         cert = qds_certificate(heat_bath_generator(heat_bath_qutrit_model()),
