@@ -62,7 +62,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .coarsegrain import CoarseGrainSchedule
+from .coarsegrain import CoarseGrainSchedule, T_of_lambda
 from .generator import PreparedGenerator, SteadyStateResult, evolve, \
     qds_certificate, steady_state
 from .linalg import choi_matrix, expm, is_psd, matrix_from_text
@@ -84,6 +84,7 @@ __all__ = ["main", "run_config", "validate_config", "ScenarioConfig", "RunReport
 OUT_DIR_ENV = "CGLIND_OUT_DIR"
 CERTIFICATE_TIMES = (0.1, 1.0, 10.0, 100.0)
 FULL_CHOI_DIM_LIMIT = 9
+MATRIX_KEYS = {"qfgr": ("h0", "hp"), "heat_bath": ("h_a", "h_b", "q", "phi")}
 
 
 class ConfigError(Exception):
@@ -114,8 +115,16 @@ class ScenarioConfig:
     json_name: str
 
 
+def _finite(raw: str) -> float:
+    """The one cast of every float field: ``float`` also accepts nan and inf."""
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_floats(raw: str) -> List[float]:
-    return [float(tok) for tok in raw.split()]
+    return [_finite(tok) for tok in raw.split()]
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -154,7 +163,14 @@ def parse_config(path: str) -> ScenarioConfig:
     sector_dims = None
     matrices: Dict[str, np.ndarray] = {}
     beta = None
-    if preset is None and kind in ("qfgr", "heat_bath"):
+    if preset is None and kind in MATRIX_KEYS:
+        for key in MATRIX_KEYS[kind]:
+            raw = need("scenario", key)
+            if raw is not None:
+                try:
+                    matrices[key] = matrix_from_text(raw)
+                except ValueError as exc:
+                    issues.append((f"[scenario].{key}", str(exc)))
         if kind == "qfgr":
             raw = need("scenario", "sector_dims")
             if raw is not None:
@@ -167,22 +183,8 @@ def parse_config(path: str) -> ScenarioConfig:
                 issues.append(("[scenario].sector_dims",
                                "sector scenarios need total dimension <= "
                                f"{FULL_CHOI_DIM_LIMIT} (full-space certificates)"))
-            for key in ("h0", "hp"):
-                raw = need("scenario", key)
-                if raw is not None:
-                    try:
-                        matrices[key] = matrix_from_text(raw)
-                    except ValueError as exc:
-                        issues.append((f"[scenario].{key}", str(exc)))
         else:
-            for key in ("h_a", "h_b", "q", "phi"):
-                raw = need("scenario", key)
-                if raw is not None:
-                    try:
-                        matrices[key] = matrix_from_text(raw)
-                    except ValueError as exc:
-                        issues.append((f"[scenario].{key}", str(exc)))
-            beta = need("scenario", "beta", float)
+            beta = need("scenario", "beta", _finite)
             if "h_a" in matrices and "h_b" in matrices:
                 full = matrices["h_a"].shape[0] * matrices["h_b"].shape[0]
                 if full > 32:
@@ -196,38 +198,39 @@ def parse_config(path: str) -> ScenarioConfig:
                            f"preset {preset!r} is a {preset_kind} scenario"))
         kind = preset_kind
 
-    lambdas = []
-    raw = need("schedule", "lambda")
-    if raw is not None:
-        try:
-            lambdas = _parse_floats(raw)
-        except ValueError:
-            issues.append(("[schedule].lambda", f"expected numbers, got {raw!r}"))
-    if not lambdas and raw is not None:
+    known = len(issues)
+    xi = need("schedule", "xi", _finite)
+    if xi is not None and not 0.0 < xi < 2.0:
+        issues.append(("[schedule].xi",
+                       f"xi must satisfy 0 < xi < 2, got {xi}"))
+    t_ref = need("schedule", "t_ref", _finite)
+    if t_ref is not None and t_ref <= 0.0:
+        issues.append(("[schedule].t_ref", f"t_ref must be positive, got {t_ref}"))
+    schedule_ok = len(issues) == known  # xi and t_ref present and valid
+    lambdas = need("schedule", "lambda", _parse_floats)
+    if lambdas == []:
         issues.append(("[schedule].lambda", "need at least one coupling value"))
-    for lam in lambdas:
+    for lam in lambdas or []:
         if lam == 0.0:
             issues.append(("[schedule].lambda",
                            "lambda must be nonzero (the semigroup construction "
                            "requires a nonzero coupling)"))
-    xi = need("schedule", "xi", float)
-    if xi is not None and not 0.0 < xi < 2.0:
-        issues.append(("[schedule].xi",
-                       f"xi must satisfy 0 < xi < 2, got {xi}"))
-    t_ref = need("schedule", "t_ref", float)
-    if t_ref is not None and t_ref <= 0.0:
-        issues.append(("[schedule].t_ref", f"t_ref must be positive, got {t_ref}"))
+        elif schedule_ok:
+            try:
+                T_of_lambda(CoarseGrainSchedule(lam=lam, xi=xi, T_ref=t_ref))
+            except ValueError as exc:  # the window overflows
+                issues.append(("[schedule].lambda", str(exc)))
 
     time_mode = need("time", "mode", default="explicit", required=False)
     if time_mode not in ("explicit", "auto"):
         issues.append(("[time].mode",
                        f"mode must be explicit or auto, got {time_mode!r}"))
-    t_start = need("time", "start", float, default=0.0, required=False)
-    t_stop = need("time", "stop", float,
+    t_start = need("time", "start", _finite, default=0.0, required=False)
+    t_stop = need("time", "stop", _finite,
                   default=(None if time_mode == "explicit" else 10.0),
                   required=(time_mode == "explicit"))
     t_count = need("time", "count", int, default=6, required=False)
-    tau_bar = need("time", "tau_bar", float,
+    tau_bar = need("time", "tau_bar", _finite,
                    default=(None if time_mode == "auto" else 1.0),
                    required=(time_mode == "auto"))
     if t_count is not None and t_count < 1:
@@ -325,10 +328,7 @@ def _run_lambda(cfg: ScenarioConfig, lam: float, general: PreparedGenerator,
     errors = projected_error_curve(gen_bundle, general.H0, general.Hp, times)
     d = bundle.dim
     rho0 = np.zeros((d, d), dtype=complex)
-    rho0[0, 0] = 1.0
-    if heat is None:
-        rho0 = bundle.subsystem.project_state(rho0)
-        rho0 = rho0 / np.trace(rho0).real
+    rho0[0, 0] = 1.0  # block-diagonal: in the sector and the trivial images
     traj = evolve(bundle, rho0, times)
     # Full-space Choi test up to FULL_CHOI_DIM_LIMIT (parse_config caps
     # sector scenarios there), else the reduced channel on the system algebra
@@ -352,8 +352,7 @@ def _run_lambda(cfg: ScenarioConfig, lam: float, general: PreparedGenerator,
         failures.append(f"trace deviation {traj.max_trace_dev:.3e} > 1e-9")
     if traj.min_state_eig < -1e-9:
         failures.append(f"state eigenvalue {traj.min_state_eig:.3e} < -1e-9")
-    d_eff = int(np.sqrt(len(bundle.schrodinger)))
-    if np.min(choi_min) < -1e-9 * (1.0 + d_eff):
+    if np.min(choi_min) < -1e-9 * (1.0 + d):
         failures.append(f"Choi minimum eigenvalue {np.min(choi_min):.3e}")
 
     return LambdaResult(
@@ -447,14 +446,8 @@ def _write_json(path: str, cfg: ScenarioConfig, report: RunReport) -> None:
 
 
 def validate_config(path: str) -> int:
-    try:
-        parse_config(path)
-    except ConfigError as exc:
-        for fld, msg in exc.issues:
-            print(f"config error: {fld}: {msg}", file=sys.stderr)
-        return 2
-    print("ok")
-    return 0
+    """``cglind validate PATH``: exit code 0 (prints ok) or 2."""
+    return main(["validate", path])
 
 
 def main(argv=None) -> int:
@@ -482,15 +475,15 @@ def main(argv=None) -> int:
             print(f"{name}  [{preset.kind}]  {preset.doc}")
         return 0
 
-    if args.command == "validate":
-        return validate_config(args.config)
-
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:
         for fld, msg in exc.issues:
             print(f"config error: {fld}: {msg}", file=sys.stderr)
         return 2
+    if args.command == "validate":
+        print("ok")
+        return 0
     if args.seed is not None:
         cfg.seed = args.seed
 

@@ -58,12 +58,20 @@ def T_of_lambda(sched: CoarseGrainSchedule) -> float:
     """Window width |lambda|**(-xi) * T_ref (adopted as an equality).
 
     lambda = 0 is rejected: the construction is only defined at nonzero
-    coupling.
+    coupling.  So is a window that overflows, since every Gaussian kernel
+    takes T^2.
     """
     if sched.lam == 0.0:
         raise ValueError("lambda must be nonzero: the semigroup construction "
                          "is undefined at zero coupling")
-    return abs(sched.lam) ** (-sched.xi) * sched.T_ref
+    try:  # a float power raises rather than returning inf
+        T = abs(sched.lam) ** (-sched.xi) * sched.T_ref
+    except OverflowError:
+        T = np.inf
+    if not np.isfinite(T * T):
+        raise ValueError(f"window T = |lambda|^-xi T_ref overflows at lambda "
+                         f"{sched.lam!r}: T^2 must be finite")
+    return T
 
 
 def _gauss_prefactor(T: float) -> float:

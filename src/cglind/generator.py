@@ -28,6 +28,7 @@ import numpy as np
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda, coarse_grained_L, \
     lamb_shift
 from .linalg import (
+    PSD_SLACK,
     anticommutator_superop,
     choi_matrix,
     commutator_superop,
@@ -122,8 +123,8 @@ class GeneratorBundle:
     def dim(self) -> int:
         return self.subsystem.dim
 
-    def in_image(self, X: np.ndarray, tol: float = 1e-9) -> bool:
-        return self.subsystem.in_image(X, tol)
+    def in_image(self, X: np.ndarray) -> bool:
+        return self.subsystem.in_image(X)
 
     def quotient_schrodinger(self) -> np.ndarray:
         """Schrödinger generator compressed to the predual image: the
@@ -168,17 +169,18 @@ def assemble_kt(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
     integral), so K = i[shift, .] - (1/2){decay, .} + jump.  The
     time-domain oracle pins this sign.
     """
-    shift, decay, jump = _kt_pieces(sub, h0_eig, Hp, T)
+    _, shift, decay, jump = _kt_pieces(sub, h0_eig, Hp, T)
     return lindblad_superop(shift, decay, jump), shift, decay, jump
 
 
 def _kt_pieces(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
-    """(shift, decay, jump) of K_T, without assembling K_T itself."""
+    """(L0, shift, decay, jump): the coarse-grained perturbation at
+    frequency zero and the pieces of K_T, without assembling K_T itself."""
     L0 = coarse_grained_L(h0_eig, Hp, T, 0.0)
     W = L0 - sub.project(L0)
     decay = hermitize(sub.project(W @ W))
     jump = sub.heisenberg @ sandwich_superop(W, W)
-    return -lamb_shift(h0_eig, Hp, T, sub), decay, jump
+    return L0, -lamb_shift(h0_eig, Hp, T, sub), decay, jump
 
 
 def _covariance_defect(H0: np.ndarray, P: np.ndarray) -> float:
@@ -223,9 +225,15 @@ class PreparedGenerator:
 
     def bundle(self, sched: CoarseGrainSchedule) -> GeneratorBundle:
         """Generator bundle at the coupling of ``sched`` (nonzero)."""
+        return self._bundle(sched)[0]
+
+    def _bundle(self, sched: CoarseGrainSchedule):
+        """(bundle, L0, shift): the bundle together with the unscaled L0
+        and Lamb-shift Hamiltonian of K_T it was assembled from."""
         lam = sched.lam
         T = T_of_lambda(sched)
-        shift, decay, jump = _kt_pieces(self.subsystem, self.h0_eig, self.Hp, T)
+        L0, shift, decay, jump = _kt_pieces(self.subsystem, self.h0_eig,
+                                            self.Hp, T)
         lam2 = lam * lam
         dec = LindbladDecomposition(
             h_free=self.h_free,
@@ -234,7 +242,8 @@ class PreparedGenerator:
             decay=lam2 * decay,
             jump_map=lam2 * jump,
         )
-        return GeneratorBundle.from_decomposition(dec, sched, self.subsystem, T)
+        return (GeneratorBundle.from_decomposition(dec, sched, self.subsystem, T),
+                L0, shift)
 
 
 def build_generator(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
@@ -405,12 +414,11 @@ class QdsCertificate:
 
 def qds_certificate(bundle: GeneratorBundle,
                     time_samples: Sequence[float] = (0.1, 1.0, 10.0, 100.0),
-                    rng=0, n_state_samples: int = 3,
-                    choi_slack: float = 1e-9) -> QdsCertificate:
+                    rng=0, n_state_samples: int = 3) -> QdsCertificate:
     """Certify semigroup properties at sampled times.
 
     Per time t: the Choi matrix of the Schrödinger propagator must be
-    PSD within ``choi_slack``; the Heisenberg propagator must fix the
+    PSD within PSD_SLACK (1 + d); the Heisenberg propagator must fix the
     identity (residual <= 1e-10) and its dual must preserve the trace
     functional (<= 1e-9).  The composition law exp((s+t)G) =
     exp(sG) exp(tG) is checked on all sample pairs (<= 1e-9), and the
@@ -433,7 +441,7 @@ def qds_certificate(bundle: GeneratorBundle,
     for t in times:
         prop_s = expm(t * bundle.schrodinger)
         schr_props[float(t)] = prop_s
-        choi_min.append(is_psd(choi_matrix(prop_s), tol=choi_slack).min_eig)
+        choi_min.append(is_psd(choi_matrix(prop_s)).min_eig)
         prop_h = expm(t * bundle.heisenberg)
         unit_dev.append(max_abs(prop_h @ eye_vec - eye_vec))
         tp_dev.append(max_abs(eye_vec.conj() @ prop_s - eye_vec.conj()))
@@ -461,7 +469,7 @@ def qds_certificate(bundle: GeneratorBundle,
     unit_dev = np.array(unit_dev)
     tp_dev = np.array(tp_dev)
     passed = bool(
-        np.all(choi_min >= -choi_slack * (1.0 + d))
+        np.all(choi_min >= -PSD_SLACK * (1.0 + d))
         and np.all(unit_dev <= 1e-10)
         and np.all(tp_dev <= 1e-9)
         and semi_dev <= 1e-9
@@ -473,7 +481,7 @@ def qds_certificate(bundle: GeneratorBundle,
                           restricted_heis_norm=np.array(rnorm),
                           semigroup_dev=semi_dev,
                           trace_norm_growth=growth,
-                          choi_slack=choi_slack,
+                          choi_slack=PSD_SLACK,
                           passed=passed)
 
 
@@ -486,10 +494,11 @@ class SteadyStateResult:
     note: str = ""
 
 
-def steady_state(bundle: GeneratorBundle, zero_tol: float = 1e-9,
+def steady_state(bundle: GeneratorBundle,
                  gap_tol: float = 1e-6) -> SteadyStateResult:
-    """Nullspace of the image-restricted Schrödinger generator,
-    intersected with trace-one Hermitian PSD operators.
+    """Nullspace of the image-restricted Schrödinger generator (singular
+    values below 1e-9 times the largest count as zero), intersected with
+    trace-one Hermitian PSD operators.
 
     Reports the nullspace dimension; when it is one, the unique state
     is returned trace-normalized.  An ambiguous singular-value gap or a
@@ -498,7 +507,7 @@ def steady_state(bundle: GeneratorBundle, zero_tol: float = 1e-9,
     """
     s, B = bundle.restricted_schrodinger()
     _, svals, vh = np.linalg.svd(s)
-    dim_null, gap = numerical_nullity(svals, zero_tol)
+    dim_null, gap = numerical_nullity(svals, 1e-9)
     if dim_null == 0:
         return SteadyStateResult(None, 0, 0.0, True,
                                  note="no nullspace found at tolerance")

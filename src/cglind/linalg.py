@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "HERMITICITY_RTOL",
-    "STRUCTURAL_TOL",
     "PSD_SLACK",
     "EigenSystem",
     "PsdResult",
@@ -54,10 +53,8 @@ __all__ = [
     "matrix_from_text",
 ]
 
-# Default tolerances: structural identities are checked at 1e-10
-# relative, PSD tests get 1e-9 slack, Hermiticity at 1e-12 relative.
+# Default tolerances: PSD tests get 1e-9 slack, Hermiticity 1e-12 relative.
 HERMITICITY_RTOL = 1e-12
-STRUCTURAL_TOL = 1e-10
 PSD_SLACK = 1e-9
 
 # Taylor core of expm: series order and the 1-norm the argument is
@@ -283,12 +280,13 @@ def trace_distance(A: np.ndarray, B: np.ndarray) -> float:
     return 0.5 * trace_norm(np.asarray(A) - np.asarray(B))
 
 
-def image_basis(P: np.ndarray, zero_tol: float = 1e-9) -> tuple:
+def image_basis(P: np.ndarray) -> tuple:
     """Orthonormal bases (columns) of the images of a projection
     superoperator P and of its trace-pairing adjoint P* = T P.T T (T the
-    transpose map), from one SVD P = U S V†: U[:, :r] and T conj(V[:, :r])."""
+    transpose map), from one SVD P = U S V†: U[:, :r] and T conj(V[:, :r]),
+    r the number of singular values above 1e-9 times the largest."""
     u, s, vh = np.linalg.svd(np.asarray(P, dtype=complex))
-    rank = int(np.sum(s > zero_tol * s[0]))
+    rank = int(np.sum(s > 1e-9 * s[0]))
     d = math.isqrt(u.shape[0])
     v = vh[:rank].T.reshape(d, d, rank)
     return u[:, :rank], v.transpose(1, 0, 2).reshape(d * d, rank)

@@ -108,14 +108,13 @@ class CommutantResult:
     flagged: bool
 
 
-def commutant(family: KrausFamily, zero_tol: float = 1e-9,
-              gap_tol: float = 1e-6) -> CommutantResult:
+def commutant(family: KrausFamily) -> CommutantResult:
     """Joint commutant {X : [V_a, X] = [V_a†, X] = 0 for all a}.
 
     Computed as the nullspace of the stacked commutator superoperators.
-    Singular values below ``zero_tol * sigma_max`` count as zero; when
-    the relative gap between the zero cluster and the smallest kept
-    singular value is below ``gap_tol`` the result is flagged as
+    Singular values below 1e-9 sigma_max count as zero; when the
+    relative gap between the zero cluster and the smallest kept
+    singular value is below 1e-6 the result is flagged as
     ill-determined rather than silently trusted.
 
     For families too large to stack (dims above ~16) the Gram matrix of
@@ -141,7 +140,7 @@ def commutant(family: KrausFamily, zero_tol: float = 1e-9,
     if use_stack:
         rows = np.vstack([np.kron(eye, G) - np.kron(G.T, eye) for G in gens])
         _, svals, vh = np.linalg.svd(rows, full_matrices=False)
-        dim_null, gap = numerical_nullity(svals, zero_tol)
+        dim_null, gap = numerical_nullity(svals, 1e-9)
         null = vh[len(svals) - dim_null:].conj()  # smallest singular values
     else:
         S = family.heisenberg_superop()
@@ -160,7 +159,7 @@ def commutant(family: KrausFamily, zero_tol: float = 1e-9,
             cols[diag].real, c * (cols[p] + cols[q]).real,
             c * (cols[p] - cols[q]).imag]))
         svals = np.sqrt(np.clip(evals[::-1], 0.0, None))
-        dim_null, gap = numerical_nullity(svals, max(zero_tol, 1e-7))
+        dim_null, gap = numerical_nullity(svals, 1e-7)
         r = evecs[:, :dim_null][:, ::-1].T
         null = np.empty((dim_null, dd), dtype=complex)
         null[:, diag] = r[:, :d]
@@ -170,19 +169,18 @@ def commutant(family: KrausFamily, zero_tol: float = 1e-9,
     basis = [devectorize(v, d) for v in null]
     return CommutantResult(basis=basis, dimension=dim_null,
                            singular_values=svals, gap=gap,
-                           flagged=gap < gap_tol)
+                           flagged=gap < 1e-6)
 
 
 @dataclass
 class PhysicalSubsystem:
     """A Kraus family together with its Heisenberg projection, the
     trace-pairing adjoint (Schrödinger) projection, and an orthonormal
-    basis of the commutant it projects onto."""
+    basis of the commutant it projects onto (``commutant_info.basis``)."""
 
     kraus: KrausFamily
     heisenberg: np.ndarray
     schrodinger: np.ndarray
-    commutant_basis: list
     commutant_info: CommutantResult
     unital_defect: float
     idempotency_defect: float
@@ -200,9 +198,9 @@ class PhysicalSubsystem:
         """Schrödinger (predual) projection."""
         return devectorize(self.schrodinger @ vectorize(rho), self.dim)
 
-    def in_image(self, X: np.ndarray, tol: float = 1e-9) -> bool:
+    def in_image(self, X: np.ndarray) -> bool:
         X = np.asarray(X, dtype=complex)
-        return max_abs(self.project(X) - X) <= tol * (1.0 + max_abs(X))
+        return max_abs(self.project(X) - X) <= 1e-9 * (1.0 + max_abs(X))
 
     def state_in_image(self, rho: np.ndarray, tol: float = 1e-9) -> bool:
         rho = np.asarray(rho, dtype=complex)
@@ -216,12 +214,11 @@ class PhysicalSubsystem:
         return self._image_bases
 
 
-def build_projection(kraus: KrausFamily, strict: bool = True,
-                     tol: float = 1e-10) -> PhysicalSubsystem:
+def build_projection(kraus: KrausFamily, strict: bool = True) -> PhysicalSubsystem:
     """Build a PhysicalSubsystem from a Kraus family.
 
     With ``strict=True`` (default) the family is rejected unless it is
-    unit preserving and idempotent to ``tol`` and its commutant spans
+    unit preserving and idempotent to 1e-10 and its commutant spans
     exactly the image of the projection (fix defect and containment
     residual below 1e-9; P0 is not decomposed).  ``strict=False`` still
     computes everything and records the defects, which is what the
@@ -230,10 +227,10 @@ def build_projection(kraus: KrausFamily, strict: bool = True,
     S = kraus.heisenberg_superop()
     unital_dev = kraus.unital_defect()
     idem_dev = max_abs(S @ S - S)
-    if strict and unital_dev > tol:
+    if strict and unital_dev > 1e-10:
         raise ValueError(
             f"Kraus family is not unit preserving: defect {unital_dev:.3e}")
-    if strict and idem_dev > tol:
+    if strict and idem_dev > 1e-10:
         raise ValueError(
             f"Kraus map is not idempotent: ||P0^2 - P0||_max = {idem_dev:.3e}")
     comm = commutant(kraus)
@@ -241,7 +238,6 @@ def build_projection(kraus: KrausFamily, strict: bool = True,
         kraus=kraus,
         heisenberg=S,
         schrodinger=trace_pairing_adjoint(S),
-        commutant_basis=comm.basis,
         commutant_info=comm,
         unital_defect=unital_dev,
         idempotency_defect=idem_dev,
@@ -382,12 +378,12 @@ def _random_complex(rng: np.random.Generator, d: int) -> np.ndarray:
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
-def validate_cppnce(sub: PhysicalSubsystem, sample_count: int = 16,
-                    rng=0, tol: float = 1e-10) -> ValidationReport:
+def validate_cppnce(sub: PhysicalSubsystem, rng=0) -> ValidationReport:
     """Check the conditional-expectation axioms on a built subsystem.
 
-    Randomized checks use the supplied generator (or seed), so reports
-    are deterministic given the seed.  Axioms:
+    Randomized checks draw 16 samples each from the supplied generator
+    (or seed), so reports are deterministic given the seed; structural
+    identities are checked at 1e-10.  Axioms:
 
     * adjoint preservation  P0(X†) = P0(X)†
     * fixed points           P0(X) = X  iff  X in span(commutant basis)
@@ -399,7 +395,7 @@ def validate_cppnce(sub: PhysicalSubsystem, sample_count: int = 16,
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    d = sub.dim
+    d, sample_count, tol = sub.dim, 16, 1e-10
 
     unital = AxiomCheck("unital", sub.unital_defect <= tol, sub.unital_defect)
     idem = AxiomCheck("idempotent", sub.idempotency_defect <= tol,
@@ -414,17 +410,17 @@ def validate_cppnce(sub: PhysicalSubsystem, sample_count: int = 16,
 
     # Fixed points: basis elements fixed, and projected samples lie in
     # the commutant span (the basis is HS-orthonormal).
-    fix_dev = max(max_abs(sub.project(C) - C) for C in sub.commutant_basis) \
-        if sub.commutant_basis else 0.0
+    basis = sub.commutant_info.basis
+    fix_dev = max(max_abs(sub.project(C) - C) for C in basis) if basis else 0.0
     span_dev = 0.0
     for _ in range(sample_count):
         X = sub.project(_random_complex(rng, d))
         resid = X.copy()
-        for C in sub.commutant_basis:
+        for C in basis:
             resid -= linalg.hs_inner(C, X) * C
         span_dev = max(span_dev, max_abs(resid) / (1.0 + max_abs(X)))
     fixed_dev = max(fix_dev, span_dev)
-    fixed = AxiomCheck("fixed_points", fixed_dev <= max(tol, 1e-9), fixed_dev)
+    fixed = AxiomCheck("fixed_points", fixed_dev <= 1e-9, fixed_dev)
 
     choi = linalg.choi_matrix(sub.heisenberg)
     psd = linalg.is_psd(choi, tol=linalg.PSD_SLACK)

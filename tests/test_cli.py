@@ -213,6 +213,35 @@ class TestValidate:
         assert "config error: [scenario]: " in err and cause in err
         assert not out.exists()
 
+    # float() accepts nan and inf, and a tiny coupling overflows the window
+    # T = |lambda|^-xi t_ref: each is a config error naming its field.
+    @pytest.mark.parametrize("text, old, new, field", [
+        (BASE_QFGR, "t_ref = 1.2", "t_ref = nan", "[schedule].t_ref"),
+        (BASE_QFGR, "t_ref = 1.2", "t_ref = inf", "[schedule].t_ref"),
+        (BASE_QFGR, "lambda = 0.5 0.25", "lambda = 0.5 nan", "[schedule].lambda"),
+        (BASE_QFGR, "lambda = 0.5 0.25", "lambda = inf", "[schedule].lambda"),
+        (BASE_QFGR, "lambda = 0.5 0.25", "lambda = 1e-200", "[schedule].lambda"),
+        (BASE_QFGR, "start = 0.0", "start = -inf", "[time].start"),
+        (BASE_QFGR, "stop = 6.0", "stop = nan", "[time].stop"),
+        (BASE_QFGR, "mode = explicit\nstart = 0.0\nstop = 6.0",
+         "mode = auto\ntau_bar = nan", "[time].tau_bar"),
+        (BASE_QFGR, "mode = explicit\nstart = 0.0\nstop = 6.0",
+         "mode = auto\ntau_bar = inf", "[time].tau_bar"),
+        (INLINE_HEAT_BATH, "beta = 1.0", "beta = inf", "[scenario].beta"),
+        (INLINE_HEAT_BATH, "beta = 1.0", "beta = nan", "[scenario].beta"),
+    ], ids=["t_ref-nan", "t_ref-inf", "lambda-nan", "lambda-inf",
+            "lambda-window-overflow", "start-minus-inf", "stop-nan",
+            "tau_bar-nan", "tau_bar-inf", "beta-inf", "beta-nan"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, text, old, new,
+                                      field, command):
+        assert old in text
+        cfg = write_config(tmp_path, text.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), command, cfg]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_config_collects_issues(self, tmp_path):
         cfg = write_config(tmp_path, BASE_QFGR
                            .replace("xi = 1.0", "xi = 2.5")
@@ -297,10 +326,10 @@ class TestRun:
     @pytest.mark.parametrize("text, couplings, expected", [
         (GIBBS, ("lambda = 0.3 0.1", "lambda = 0.3 0.2 0.1"),
          {"partial_trace_family": 1, "build_projection": 2,
-          "bath_correlation": 1, "_covariance_defect": 1}),
+          "bath_correlation": 1, "_covariance_defect": 1, "lamb_shift": 3}),
         (BASE_QFGR, ("lambda = 0.5 0.25", "lambda = 0.5 0.25 0.1"),
          {"partial_trace_family": 0, "build_projection": 1,
-          "bath_correlation": 0, "_covariance_defect": 1}),
+          "bath_correlation": 0, "_covariance_defect": 1, "lamb_shift": 3}),
     ], ids=["heat_bath", "qfgr"])
     def test_coupling_independent_work_once(self, tmp_path, monkeypatch,
                                             text, couplings, expected):
@@ -319,6 +348,24 @@ class TestRun:
         cfg = write_config(tmp_path, text.replace(*couplings))
         assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 0
         assert calls == expected
+
+    def test_sector_mismatch_is_recorded(self, tmp_path, monkeypatch, capsys):
+        # A doubled decay term in the sector assembly only: the general
+        # bundle, which every other check reads, is unchanged.
+        original = scenarios.anticommutator_superop
+        monkeypatch.setattr(scenarios, "anticommutator_superop",
+                            lambda A: 2.0 * original(A))
+        cfg = write_config(tmp_path, BASE_QFGR)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "run", cfg]) == 1
+        assert "sector equations vs general generator" in capsys.readouterr().err
+        payload = json.loads((out / "out.json").read_text())
+        assert payload["passed"] is False
+        for res in payload["results"]:
+            residual = res["extras"]["sector_residual"]
+            assert residual > 1e-8
+            assert res["failures"] == [
+                f"sector equations vs general generator: {residual:.3e}"]
 
     def test_heat_bath_builds_superoperator_once(self, tmp_path, monkeypatch):
         # The partial-trace family's superoperator serves the predual

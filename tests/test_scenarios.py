@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
+from cglind import scenarios
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
 from cglind.generator import expm, qds_certificate, steady_state
 from cglind.linalg import (
@@ -56,12 +57,19 @@ class TestQfgrGenerator:
         gen = qfgr_generator(model_fn())
         assert gen.residual_vs_general <= 1e-8
 
+    def test_mismatch_is_returned_not_raised(self, monkeypatch):
+        original = scenarios.anticommutator_superop
+        monkeypatch.setattr(scenarios, "anticommutator_superop",
+                            lambda A: 2.0 * original(A))
+        gen = qfgr_generator(two_sector_qubit_model())
+        assert gen.residual_vs_general > 1e-8
+
     def test_blockdiagonal_perturbation_gives_unitary_sectors(self):
         Hp = np.diag([0.3, -0.2]).astype(complex)
         m = QfgrModel([1, 1], np.diag([0.5, -0.5]).astype(complex), Hp,
                       CoarseGrainSchedule(0.5, 1.0, 1.0))
         gen = qfgr_generator(m)
-        for D in gen.scattering.amplitudes.values():
+        for D in gen.amplitudes.values():
             assert max_abs(D) < 1e-14
         expected = -1j * commutator_superop(gen.effective_hamiltonian)
         np.testing.assert_allclose(gen.schrodinger, expected, atol=1e-12)
@@ -95,7 +103,7 @@ class TestQfgrGenerator:
     def test_block_structure_invariance(self, rng):
         m = three_sector_model()
         gen = qfgr_generator(m)
-        sub = gen.subsystem
+        sub = gen.bundle.subsystem
         quotient = sub.schrodinger @ gen.bundle.schrodinger @ sub.schrodinger
         for gen_matrix in (gen.schrodinger, quotient):
             rho = sub.project_state(random_density(rng, 4))
@@ -105,7 +113,7 @@ class TestQfgrGenerator:
     def test_shifts_are_hermitian_blocks(self):
         gen = qfgr_generator(qfgr_two_block_model())
         projs = sector_family([2, 2]).operators
-        for P, H in zip(projs, gen.scattering.shifts):
+        for P, H in zip(projs, gen.shifts):
             assert max_abs(H - H.conj().T) < 1e-12
             assert max_abs(H - P @ H @ P) < 1e-12
 

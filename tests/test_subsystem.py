@@ -52,7 +52,7 @@ class TestBuildProjection:
         sub = dephasing_subsystem()
         assert sub.commutant_info.dimension == 2
         # commutant consists of diagonal matrices
-        for C in sub.commutant_basis:
+        for C in sub.commutant_info.basis:
             assert max_abs(C - np.diag(np.diag(C))) < 1e-12
         X = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
         np.testing.assert_allclose(sub.project(X), np.diag([1.0, 4.0]), atol=1e-12)
@@ -344,11 +344,11 @@ class TestProjectionInvariants:
 
     def test_image_equals_commutant_span(self, sub, rng):
         # both containments: basis elements fixed, projections in span
-        for C in sub.commutant_basis:
+        for C in sub.commutant_info.basis:
             assert max_abs(sub.project(C) - C) < 1e-9
         for _ in range(4):
             X = sub.project(random_hermitian(rng, sub.dim))
-            resid = X - sum(np.vdot(C, X) * C for C in sub.commutant_basis)
+            resid = X - sum(np.vdot(C, X) * C for C in sub.commutant_info.basis)
             assert max_abs(resid) < 1e-9
 
     def test_state_projection_trace_and_positivity(self, sub, rng):
