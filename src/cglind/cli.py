@@ -79,7 +79,7 @@ from .scenarios import (
 )
 from .subsystem import build_projection, partial_trace_family
 
-__all__ = ["main", "run_config", "validate_config", "ScenarioConfig", "RunReport"]
+__all__ = ["main", "run_config", "ScenarioConfig", "RunReport"]
 
 OUT_DIR_ENV = "CGLIND_OUT_DIR"
 CERTIFICATE_TIMES = (0.1, 1.0, 10.0, 100.0)
@@ -237,6 +237,11 @@ def parse_config(path: str) -> ScenarioConfig:
         issues.append(("[time].count", f"count must be >= 1, got {t_count}"))
     if time_mode == "auto" and tau_bar is not None and tau_bar <= 0:
         issues.append(("[time].tau_bar", f"tau_bar must be positive, got {tau_bar}"))
+    elif time_mode == "auto" and tau_bar is not None:
+        for lam in filter(None, lambdas or []):  # lambda = 0 reported above
+            if not (lam * lam > 0.0 and np.isfinite(tau_bar / (lam * lam))):
+                issues.append(("[schedule].lambda", "auto window end tau_bar / "
+                               f"lambda^2 is not finite for lambda = {lam}"))
 
     seed = need("run", "seed", int, default=0, required=False)
     csv_name = need("output", "csv", default="run.csv", required=False)
@@ -379,7 +384,7 @@ def run_config(cfg: ScenarioConfig, config_path: str,
                                                     model.bath_state()))
         general = PreparedGenerator(sub, *model.full_hamiltonian_parts())
     for prepared in filter(None, (general, heat)):
-        prepared.subsystem.image_bases()  # cached before workers share it
+        prepared.subsystem.image_bases  # cached before workers share it
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(
@@ -443,11 +448,6 @@ def _write_json(path: str, cfg: ScenarioConfig, report: RunReport) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def validate_config(path: str) -> int:
-    """``cglind validate PATH``: exit code 0 (prints ok) or 2."""
-    return main(["validate", path])
 
 
 def main(argv=None) -> int:

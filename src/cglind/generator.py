@@ -139,13 +139,13 @@ class GeneratorBundle:
         """(k x k matrix, basis) of the generator on an orthonormal basis
         of the observable image.  No re-projection is needed: the
         Heisenberg generator maps the image into itself exactly."""
-        B = self.subsystem.image_bases()[0]
+        B = self.subsystem.image_bases[0]
         return B.conj().T @ self.heisenberg @ B, B
 
     def restricted_schrodinger(self):
         """(k x k matrix, basis) of the quotient Schrödinger generator on
         an orthonormal basis of the state image."""
-        B = self.subsystem.image_bases()[1]
+        B = self.subsystem.image_bases[1]
         P = self.subsystem.schrodinger
         return B.conj().T @ P @ self.schrodinger @ B, B
 

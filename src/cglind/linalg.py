@@ -289,7 +289,8 @@ def image_basis(P: np.ndarray) -> tuple:
     rank = int(np.sum(s > 1e-9 * s[0]))
     d = math.isqrt(u.shape[0])
     v = vh[:rank].T.reshape(d, d, rank)
-    return u[:, :rank], v.transpose(1, 0, 2).reshape(d * d, rank)
+    # a copy: the view u[:, :rank] would keep all of the d^2 x d^2 U alive
+    return u[:, :rank].copy(), v.transpose(1, 0, 2).reshape(d * d, rank)
 
 
 def numerical_nullity(svals: np.ndarray, zero_tol: float) -> tuple:

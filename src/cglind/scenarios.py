@@ -25,7 +25,7 @@ discrete spectra cannot satisfy the continuum decay hypotheses.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -523,7 +523,7 @@ def projected_error_curve(bundle: GeneratorBundle, H0: np.ndarray,
     approximation ``bundle`` of H0 + lam H', per time point."""
     sub, lam = bundle.subsystem, bundle.schedule.lam
     d = sub.dim
-    B = sub.image_bases()[0]
+    B = sub.image_bases[0]
     k = B.shape[1]
     Bmats = [devectorize(B[:, j], d) for j in range(k)]
     g, _ = bundle.restricted_heisenberg()
@@ -669,28 +669,20 @@ def quasi_continuum_model(lam: float = 0.2) -> HeatBathModel:
 
 @dataclass
 class Preset:
-    name: str
     kind: str
     builder: object
     doc: str
-    tau_bar: Optional[float] = None
 
 
 PRESETS: Dict[str, Preset] = {
-    "two-sector-qubit": Preset(
-        "two-sector-qubit", "qfgr", two_sector_qubit_model,
-        "two one-dimensional sectors; classical rate-equation limit"),
-    "qfgr-two-blocks": Preset(
-        "qfgr-two-blocks", "qfgr", qfgr_two_block_model,
-        "two two-dimensional sectors, dense perturbation"),
-    "heat-bath-qutrit": Preset(
-        "heat-bath-qutrit", "heat_bath", heat_bath_qutrit_model,
-        "qubit + 3-level bath, generic couplings"),
-    "qubit-gibbs": Preset(
-        "qubit-gibbs", "heat_bath", reference_heat_bath_model,
-        "qubit + 4-level bath thermalization reference model"),
-    "quasi-continuum": Preset(
-        "quasi-continuum", "heat_bath", quasi_continuum_model,
-        "qubit + 16-level quasi-continuum bath for the error sweep",
-        tau_bar=QUASI_CONTINUUM_TAU_BAR),
+    "two-sector-qubit": Preset("qfgr", two_sector_qubit_model,
+                               "two one-dimensional sectors; classical rate-equation limit"),
+    "qfgr-two-blocks": Preset("qfgr", qfgr_two_block_model,
+                              "two two-dimensional sectors, dense perturbation"),
+    "heat-bath-qutrit": Preset("heat_bath", heat_bath_qutrit_model,
+                               "qubit + 3-level bath, generic couplings"),
+    "qubit-gibbs": Preset("heat_bath", reference_heat_bath_model,
+                          "qubit + 4-level bath thermalization reference model"),
+    "quasi-continuum": Preset("heat_bath", quasi_continuum_model,
+                              "qubit + 16-level quasi-continuum bath for the error sweep"),
 }

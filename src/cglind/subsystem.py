@@ -11,8 +11,9 @@ provides an axiom-by-axiom validator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -108,6 +109,17 @@ class CommutantResult:
     flagged: bool
 
 
+def _gram(family: KrausFamily) -> np.ndarray:
+    """Gram matrix N = sum ad_G† ad_G over G in {V_a, V_a†}: N X = 0
+    exactly when X commutes with every G.  It collapses to two large
+    krons, N = kron(1, A) + kron(A*, 1) - 2 P0 - 2 P0*, A = sum V†V + VV†."""
+    eye = np.eye(family.dim, dtype=complex)
+    S = family.heisenberg_superop()
+    A = sum(V.conj().T @ V + V @ V.conj().T for V in family.operators)
+    return np.kron(eye, A) + np.kron(A.conj(), eye) - 2.0 * S \
+        - 2.0 * trace_pairing_adjoint(S)
+
+
 def commutant(family: KrausFamily) -> CommutantResult:
     """Joint commutant {X : [V_a, X] = [V_a†, X] = 0 for all a}.
 
@@ -117,10 +129,8 @@ def commutant(family: KrausFamily) -> CommutantResult:
     singular value is below 1e-6 the result is flagged as
     ill-determined rather than silently trusted.
 
-    For families too large to stack (dims above ~16) the Gram matrix of
-    the stacked map is used instead.  Summed over both V and V†, the
-    Gram collapses to N = kron(1, A) + kron(A*, 1) - 2 P0 - 2 P0* with
-    A = sum (V†V + VV†), so it costs two large krons.  For any Kraus
+    For families too large to stack (dims above ~16) the Gram matrix N
+    of the stacked map (``_gram``) is used instead.  For any Kraus
     family the generator set {V_a, V_a†} is closed under †, so N(X†) =
     N(X)†: on the Hermitian orthonormal basis {E_aa, (E_ab + E_ba)/√2,
     i(E_ab - E_ba)/√2} N is real symmetric.  That form is gathered from
@@ -143,12 +153,7 @@ def commutant(family: KrausFamily) -> CommutantResult:
         dim_null, gap = numerical_nullity(svals, 1e-9)
         null = vh[len(svals) - dim_null:].conj()  # smallest singular values
     else:
-        S = family.heisenberg_superop()
-        A = np.zeros((d, d), dtype=complex)
-        for V in family.operators:
-            A += V.conj().T @ V + V @ V.conj().T
-        N = np.kron(eye, A) + np.kron(A.conj(), eye) - 2.0 * S \
-            - 2.0 * trace_pairing_adjoint(S)
+        N = _gram(family)
         # vec index of E_ab is b d + a: the diagonal, then E_ab and E_ba
         # for a < b; c = 1/√2 is the basis normalization.
         a, b = np.triu_indices(d, 1)
@@ -174,21 +179,23 @@ def commutant(family: KrausFamily) -> CommutantResult:
 
 @dataclass
 class PhysicalSubsystem:
-    """A Kraus family together with its Heisenberg projection, the
-    trace-pairing adjoint (Schrödinger) projection, and an orthonormal
-    basis of the commutant it projects onto (``commutant_info.basis``)."""
+    """A Kraus family with its Heisenberg projection, the trace-pairing
+    adjoint (Schrödinger) projection, and an orthonormal basis of the
+    commutant it projects onto (``commutant_info.basis``, solved lazily)."""
 
     kraus: KrausFamily
     heisenberg: np.ndarray
     schrodinger: np.ndarray
-    commutant_info: CommutantResult
     unital_defect: float
     idempotency_defect: float
-    _image_bases: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.kraus.dim
+
+    @cached_property
+    def commutant_info(self) -> CommutantResult:
+        return commutant(self.kraus)
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """Heisenberg projection P0(X)."""
@@ -206,23 +213,28 @@ class PhysicalSubsystem:
         rho = np.asarray(rho, dtype=complex)
         return max_abs(self.project_state(rho) - rho) <= tol * (1.0 + max_abs(rho))
 
+    @cached_property
     def image_bases(self) -> tuple:
         """Orthonormal bases (Heisenberg, Schrödinger) of the images of
         the projection pair, from one SVD on first use."""
-        if self._image_bases is None:
-            self._image_bases = image_basis(self.heisenberg)
-        return self._image_bases
+        return image_basis(self.heisenberg)
 
 
 def build_projection(kraus: KrausFamily, strict: bool = True) -> PhysicalSubsystem:
     """Build a PhysicalSubsystem from a Kraus family.
 
     With ``strict=True`` (default) the family is rejected unless it is
-    unit preserving and idempotent to 1e-10 and its commutant spans
-    exactly the image of the projection (fix defect and containment
-    residual below 1e-9; P0 is not decomposed).  ``strict=False`` still
-    computes everything and records the defects, which is what the
-    validator needs to diagnose deliberately broken families.
+    unit preserving and idempotent to 1e-10 and its image is the
+    commutant of {V_a, V_a†}.  A unital P0 fixes that commutant, so the
+    two are equal exactly when N P0 = 0 (N from ``_gram``).  Roundoff
+    model: each entry of N P0 sums n = d^2 terms to an exact 0 and, under
+    probabilistic rounding (Higham and Mary, SIAM J. Sci. Comput. 41,
+    2019), exceeds lam sqrt(n) u ||N||_inf max|P0| (u the unit roundoff,
+    ||.||_inf the largest row sum) with probability about exp(-lam^2/2).
+    lam = 1e3 gives at most 4.4e-10 for d <= 32 against residuals of at
+    most 1e-15; a larger image leaves an O(||N||) residual (0.5 at d = 3).
+    ``strict=False`` skips that check and records the defects (the
+    validator's diagnostic build).
     """
     S = kraus.heisenberg_superop()
     unital_dev = kraus.unital_defect()
@@ -233,27 +245,22 @@ def build_projection(kraus: KrausFamily, strict: bool = True) -> PhysicalSubsyst
     if strict and idem_dev > 1e-10:
         raise ValueError(
             f"Kraus map is not idempotent: ||P0^2 - P0||_max = {idem_dev:.3e}")
-    comm = commutant(kraus)
-    sub = PhysicalSubsystem(
+    if strict:
+        N = _gram(kraus)
+        resid = max_abs(N @ S)
+        bound = 1e3 * np.sqrt(S.shape[0]) * np.finfo(float).eps / 2 \
+            * float(np.abs(N).sum(axis=1).max()) * max_abs(S)
+        if resid > bound:
+            raise ValueError(
+                "projection image does not match the commutant span "
+                f"(invariance residual max|N P0| = {resid:.3e} > {bound:.3e})")
+    return PhysicalSubsystem(
         kraus=kraus,
         heisenberg=S,
         schrodinger=trace_pairing_adjoint(S),
-        commutant_info=comm,
         unital_defect=unital_dev,
         idempotency_defect=idem_dev,
     )
-    if strict:
-        # Span in image: P0 C = C.  Image in span: P0 = C C† P0, with C
-        # the orthonormal commutant basis stacked as columns.
-        C = np.column_stack([vectorize(B) for B in comm.basis])
-        fix_dev = max_abs(S @ C - C)
-        span_dev = max_abs(S - C @ (C.conj().T @ S))
-        if fix_dev > 1e-9 or span_dev > 1e-9:
-            raise ValueError(
-                "projection image does not match the commutant span "
-                f"(fix defect {fix_dev:.3e}, containment residual "
-                f"{span_dev:.3e})")
-    return sub
 
 
 def sector_family(sector_dims: Sequence[int]) -> KrausFamily:

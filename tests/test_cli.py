@@ -31,6 +31,9 @@ csv = out.csv
 json = out.json
 """
 
+AUTO_SMALL_XI = BASE_QFGR.replace("xi = 1.0", "xi = 0.1").replace(
+    "mode = explicit\nstart = 0.0\nstop = 6.0", "mode = auto\ntau_bar = 0.2")
+
 INLINE_QFGR = """\
 [scenario]
 kind = qfgr
@@ -213,14 +216,20 @@ class TestValidate:
         assert "config error: [scenario]: " in err and cause in err
         assert not out.exists()
 
-    # float() accepts nan and inf, and a tiny coupling overflows the window
-    # T = |lambda|^-xi t_ref: each is a config error naming its field.
+    # float() accepts nan and inf, a tiny coupling overflows the window
+    # T = |lambda|^-xi t_ref, and in auto mode lambda^2 may underflow to 0
+    # (1e-170) or leave tau_bar / lambda^2 infinite (1e-160): each is a
+    # config error naming its field.
     @pytest.mark.parametrize("text, old, new, field", [
         (BASE_QFGR, "t_ref = 1.2", "t_ref = nan", "[schedule].t_ref"),
         (BASE_QFGR, "t_ref = 1.2", "t_ref = inf", "[schedule].t_ref"),
         (BASE_QFGR, "lambda = 0.5 0.25", "lambda = 0.5 nan", "[schedule].lambda"),
         (BASE_QFGR, "lambda = 0.5 0.25", "lambda = inf", "[schedule].lambda"),
         (BASE_QFGR, "lambda = 0.5 0.25", "lambda = 1e-200", "[schedule].lambda"),
+        (AUTO_SMALL_XI, "lambda = 0.5 0.25", "lambda = 1e-170",
+         "[schedule].lambda"),
+        (AUTO_SMALL_XI, "lambda = 0.5 0.25", "lambda = 1e-160",
+         "[schedule].lambda"),
         (BASE_QFGR, "start = 0.0", "start = -inf", "[time].start"),
         (BASE_QFGR, "stop = 6.0", "stop = nan", "[time].stop"),
         (BASE_QFGR, "mode = explicit\nstart = 0.0\nstop = 6.0",
@@ -230,7 +239,8 @@ class TestValidate:
         (INLINE_HEAT_BATH, "beta = 1.0", "beta = inf", "[scenario].beta"),
         (INLINE_HEAT_BATH, "beta = 1.0", "beta = nan", "[scenario].beta"),
     ], ids=["t_ref-nan", "t_ref-inf", "lambda-nan", "lambda-inf",
-            "lambda-window-overflow", "start-minus-inf", "stop-nan",
+            "lambda-window-overflow", "lambda-squared-underflow",
+            "auto-window-overflow", "start-minus-inf", "stop-nan",
             "tau_bar-nan", "tau_bar-inf", "beta-inf", "beta-nan"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_non_finite_number_exit_2(self, tmp_path, capsys, text, old, new,

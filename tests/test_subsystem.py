@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cglind import subsystem
 from conftest import random_density, random_hermitian, random_unitary
 from cglind.linalg import (
     choi_matrix,
@@ -16,6 +17,7 @@ from cglind.linalg import (
 )
 from cglind.subsystem import (
     KrausFamily,
+    _gram,
     _predual_defect,
     build_projection,
     commutant,
@@ -34,6 +36,16 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def image_larger_family(U):
+    """Unital and idempotent: P0(X) = diag(X00, X11, (X00 + X11)/2) has a
+    2-dimensional image, but the commutant of the family is C 1; every
+    operator is conjugated by the unitary U."""
+    e = np.eye(3, dtype=complex)
+    ops = [np.outer(e[0], e[0]), np.outer(e[1], e[1]),
+           np.outer(e[0], e[2]) / np.sqrt(2), np.outer(e[1], e[2]) / np.sqrt(2)]
+    return KrausFamily([U @ V @ U.conj().T for V in ops])
 
 
 def dephasing_subsystem():
@@ -77,14 +89,9 @@ class TestBuildProjection:
         assert sub.unital_defect > 1e-3
 
     def test_rejects_image_larger_than_commutant(self):
-        # Unital and idempotent: P0(X) = diag(X00, X11, (X00 + X11)/2) has
-        # a 2-dimensional image, but the commutant of the family is C 1.
-        e = np.eye(3, dtype=complex)
-        fam = KrausFamily([np.outer(e[0], e[0]), np.outer(e[1], e[1]),
-                           np.outer(e[0], e[2]) / np.sqrt(2),
-                           np.outer(e[1], e[2]) / np.sqrt(2)])
-        with pytest.raises(ValueError,
-                           match="does not match the commutant span"):
+        fam = image_larger_family(np.eye(3, dtype=complex))
+        with pytest.raises(ValueError, match="does not match the commutant "
+                           r"span \(invariance residual max\|N P0\|"):
             build_projection(fam)
         sub = build_projection(fam, strict=False)
         assert sub.commutant_info.dimension == 1
@@ -97,13 +104,7 @@ def _complex_gram_commutant(family, zero_tol=1e-9):
     on the unit-operator basis, as ``commutant`` computed it before the
     real symmetric form.  Returns (singular values, nullity, projector
     onto the null space)."""
-    d = family.dim
-    eye = np.eye(d, dtype=complex)
-    S = family.heisenberg_superop()
-    A = sum(V.conj().T @ V + V @ V.conj().T for V in family.operators)
-    N = np.kron(eye, A) + np.kron(A.conj(), eye) - 2.0 * S \
-        - 2.0 * trace_pairing_adjoint(S)
-    evals, evecs = np.linalg.eigh(hermitize(N))
+    evals, evecs = np.linalg.eigh(hermitize(_gram(family)))
     svals = np.sqrt(np.clip(evals[::-1], 0.0, None))
     dim_null, _ = numerical_nullity(svals, max(zero_tol, 1e-7))
     C = evecs[:, :dim_null]
@@ -178,6 +179,51 @@ class TestCommutantGramRoute:
             assert max_abs(B - B.conj().T) == 0.0
 
 
+class TestInvarianceCheck:
+    """The strict build decides image = commutant from max|N P0| alone;
+    ``commutant`` is the oracle for that decision."""
+
+    def test_build_never_solves_the_commutant(self, rng, monkeypatch):
+        calls = []
+
+        def counted(family):
+            calls.append(family)
+            return commutant(family)
+        monkeypatch.setattr(subsystem, "commutant", counted)
+        families = [
+            sector_family([2, 1, 2]),
+            partial_trace_family(2, random_density(rng, 3)),
+            partial_trace_family(2, np.diag([1.0, 0.0]).astype(complex)),
+            trivial_family(3),
+            partial_trace_family(2, gibbs_state(random_hermitian(rng, 8), 1.0)),
+            _block_family(rng, [(2, 4), (2, 4)], random_unitary(rng, 16)),
+        ]
+        for fam in families:
+            sub = build_projection(fam)
+            assert calls == []
+            first = sub.commutant_info
+            assert sub.commutant_info is first
+            assert calls == [fam]
+            calls.clear()
+
+    @pytest.mark.parametrize("blocks", [[(2, 2), (1, 3)], [(1, 2), (2, 1), (1, 1)],
+                                        [(3, 1), (1, 2)], [(1, 4)]])
+    def test_decision_agrees_with_commutant(self, rng, blocks):
+        def oracle_accepts(fam):
+            rank = np.linalg.matrix_rank(fam.heisenberg_superop())
+            return commutant(fam).dimension == rank
+        d = sum(n * m for n, m in blocks)
+        for _ in range(3):
+            fam = _block_family(rng, blocks, random_unitary(rng, d))
+            assert oracle_accepts(fam)
+            build_projection(fam)
+            fam = image_larger_family(random_unitary(rng, 3))
+            assert not oracle_accepts(fam)
+            with pytest.raises(ValueError,
+                               match="does not match the commutant span"):
+                build_projection(fam)
+
+
 def _predual_defect_loop(S, dim_a, w):
     """The cross-check as a loop over the unit operators, one column of
     S* at a time (the reference for the batched check)."""
@@ -226,11 +272,16 @@ class TestImageBases:
         return build_projection(trivial_family(3))
 
     def test_bases_span_the_images(self, sub):
-        for P, B in zip((sub.heisenberg, sub.schrodinger), sub.image_bases()):
+        for P, B in zip((sub.heisenberg, sub.schrodinger), sub.image_bases):
             assert B.shape[1] == sub.commutant_info.dimension
             assert max_abs(B.conj().T @ B - np.eye(B.shape[1])) < 1e-12
             assert max_abs(P @ B - B) < 1e-10
             assert max_abs(B @ (B.conj().T @ P) - P) < 1e-10
+
+    def test_bases_hold_only_their_own_entries(self, sub):
+        # a view would keep the full d^2 x d^2 SVD factor alive
+        for B in sub.image_bases:
+            assert (B if B.base is None else B.base).nbytes == B.nbytes
 
 
 class TestSectorFamily:
