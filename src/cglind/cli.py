@@ -244,6 +244,8 @@ def parse_config(path: str) -> ScenarioConfig:
                                f"lambda^2 is not finite for lambda = {lam}"))
 
     seed = need("run", "seed", int, default=0, required=False)
+    if seed is not None and seed < 0:
+        issues.append(("[run].seed", f"seed must be nonnegative, got {seed}"))
     csv_name = need("output", "csv", default="run.csv", required=False)
     json_name = need("output", "json", default="run.json", required=False)
 
@@ -289,7 +291,6 @@ class LambdaResult:
 
 @dataclass
 class RunReport:
-    config_path: str
     kind: str
     results: List[LambdaResult]
     gibbs_distances: Optional[list]
@@ -368,8 +369,7 @@ def _run_lambda(cfg: ScenarioConfig, lam: float, general: PreparedGenerator,
         certificate=cert_dict, extras=extras, failures=failures, steady=ss)
 
 
-def run_config(cfg: ScenarioConfig, config_path: str,
-               threads: int = 1) -> RunReport:
+def run_config(cfg: ScenarioConfig, threads: int = 1) -> RunReport:
     """Run every coupling.  The model, its subsystems and every
     coupling-independent part of the generators are built once per run;
     each coupling then takes only its schedule."""
@@ -400,8 +400,7 @@ def run_config(cfg: ScenarioConfig, config_path: str,
                   "nullspace_dim": g.nullspace_dim,
                   "flagged": bool(g.flagged)} for g in rows]
 
-    return RunReport(config_path=config_path, kind=cfg.kind, results=results,
-                     gibbs_distances=gibbs,
+    return RunReport(kind=cfg.kind, results=results, gibbs_distances=gibbs,
                      wall_clock_s=time.monotonic() - t0)
 
 
@@ -476,6 +475,9 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError([("--seed", "seed must be nonnegative, "
+                                f"got {args.seed}")])
         cfg = parse_config(args.config)
     except ConfigError as exc:
         for fld, msg in exc.issues:
@@ -490,7 +492,7 @@ def main(argv=None) -> int:
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
 
-    report = run_config(cfg, args.config, threads=max(1, args.threads))
+    report = run_config(cfg, threads=max(1, args.threads))
     _write_csv(os.path.join(out_dir, cfg.csv_name), report)
     _write_json(os.path.join(out_dir, cfg.json_name), cfg, report)
 

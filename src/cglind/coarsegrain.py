@@ -97,15 +97,14 @@ def coarse_grained_L(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
 
 
 def coarse_grained_L_quadrature(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
-                                omega: float | np.ndarray, n_points: int = 3200,
-                                half_width: float = 8.0) -> np.ndarray:
+                                omega: float | np.ndarray) -> np.ndarray:
     """Oracle evaluator of the defining time integral
 
         sqrt(1 / (sqrt(pi) T)) * int dt e^{i w t} e^{-t^2/(2T^2)} H'(t)
 
     with H'(t) = e^{-i H0 t} H' e^{i H0 t}, truncated at |t| <= 8T and
-    integrated by the trapezoid rule on a uniform grid.  The Gaussian
-    window makes the truncation error < 1e-12; kept deliberately
+    integrated by the trapezoid rule on a uniform 3200-point grid.  The
+    Gaussian window makes the truncation error < 1e-12; kept deliberately
     independent of the closed form it checks.
 
     ``omega`` is a scalar (one d x d matrix is returned) or an array of
@@ -123,8 +122,8 @@ def coarse_grained_L_quadrature(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
     delta = np.subtract.outer(eps, eps)
     Hp_eig = U.conj().T @ Hp @ U
     omega = np.asarray(omega, dtype=float)
-    ts = np.linspace(-half_width * T, half_width * T, n_points)
-    rule = np.full(n_points, ts[1] - ts[0])
+    ts = np.linspace(-8.0 * T, 8.0 * T, 3200)
+    rule = np.full_like(ts, ts[1] - ts[0])
     rule[[0, -1]] *= 0.5
     waves = rule * np.exp(1j * np.multiply.outer(omega.ravel(), ts))
     entries = np.exp(-1j * np.multiply.outer(ts, delta.ravel())
@@ -145,10 +144,11 @@ def pv_gaussian(mu, a: float):
     return 2.0 * np.sqrt(np.pi) * dawsn(np.sqrt(a) * np.asarray(mu))
 
 
-def pv_gaussian_quadrature(mu: float, a: float, delta: float | None = None) -> float:
+def pv_gaussian_quadrature(mu: float, a: float) -> float:
     """Quadrature oracle for :func:`pv_gaussian`: adaptive integration on
-    symmetric intervals excluding (-delta, delta), Richardson
-    extrapolated in delta (the leading exclusion error is linear).
+    symmetric intervals excluding (-delta, delta), delta = 1e-3 / sqrt(a),
+    Richardson extrapolated in delta (the leading exclusion error is
+    linear).
     """
     # Deferred: only the oracles use scipy.integrate, and runs never call them.
     from scipy.integrate import quad
@@ -156,8 +156,7 @@ def pv_gaussian_quadrature(mu: float, a: float, delta: float | None = None) -> f
         raise ValueError(f"Gaussian width parameter a must be positive, got {a}")
     mu = float(mu)
     sigma = 1.0 / np.sqrt(a)
-    if delta is None:
-        delta = 1e-3 * sigma
+    delta = 1e-3 * sigma
     R = abs(mu) + 14.0 * sigma
 
     def f(w):

@@ -20,7 +20,8 @@ states is the image-restricted (quotient) action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,20 +86,20 @@ class LindbladDecomposition:
 
 @dataclass
 class GeneratorBundle:
+    """The Heisenberg generator with its pieces; its Schrödinger forms
+    are derived on first use (threads that race there repeat the work)."""
+
     decomposition: LindbladDecomposition
     heisenberg: np.ndarray
-    schrodinger: np.ndarray
     schedule: CoarseGrainSchedule
     subsystem: PhysicalSubsystem
     T: float
-    _quotient_schrodinger: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
     def from_decomposition(cls, dec: LindbladDecomposition,
                            sched: CoarseGrainSchedule, sub: PhysicalSubsystem,
                            T: float) -> "GeneratorBundle":
-        """Assemble the Heisenberg generator from its Lindblad pieces and
-        pair it with its Schrödinger dual.
+        """Assemble the Heisenberg generator from its Lindblad pieces.
 
         Psi(1) = A and unitality G(1) = 0 are asserted at 1e-10 relative
         (to the decay and the generator max entries)."""
@@ -115,25 +116,24 @@ class GeneratorBundle:
         if unital_dev > 1e-10 * (1.0 + max_abs(heis)):
             raise ValueError(
                 f"generator is not unital: ||G(1)||_max = {unital_dev:.3e}")
-        return cls(decomposition=dec, heisenberg=heis,
-                   schrodinger=trace_pairing_adjoint(heis),
-                   schedule=sched, subsystem=sub, T=T)
+        return cls(decomposition=dec, heisenberg=heis, schedule=sched,
+                   subsystem=sub, T=T)
 
     @property
     def dim(self) -> int:
         return self.subsystem.dim
 
-    def in_image(self, X: np.ndarray) -> bool:
-        return self.subsystem.in_image(X)
+    @cached_property
+    def schrodinger(self) -> np.ndarray:
+        return trace_pairing_adjoint(self.heisenberg)
 
+    @cached_property
     def quotient_schrodinger(self) -> np.ndarray:
         """Schrödinger generator compressed to the predual image: the
         full dual leaks out of the image in general, and only the
         re-projected action is contractual."""
-        if self._quotient_schrodinger is None:
-            P = self.subsystem.schrodinger
-            self._quotient_schrodinger = P @ self.schrodinger @ P
-        return self._quotient_schrodinger
+        P = self.subsystem.schrodinger
+        return P @ self.schrodinger @ P
 
     def restricted_heisenberg(self):
         """(k x k matrix, basis) of the generator on an orthonormal basis
@@ -253,8 +253,7 @@ def build_generator(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
 
 
 def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
-               T: float, n_points: int = 1601,
-               half_width: float = 8.0) -> np.ndarray:
+               T: float, n_points: int = 1601) -> np.ndarray:
     """Brute-force K_T by double time quadrature of the defining
     ordered integral
 
@@ -263,7 +262,7 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
 
     with w(t) = exp(-t^2 / 2 T^2) and A_ij(t) the projected interaction
     derivations in the free interaction picture.  Truncated at
-    |t| <= half_width * T on a uniform grid; the inner cumulative
+    |t| <= 8 T on a uniform grid; the inner cumulative
     integral uses Simpson's rule (the mid-domain error of a cumulative
     trapezoid is O(h^2) and would dominate the 1e-6 budget), the outer
     integral the trapezoid rule, which is spectrally accurate for the
@@ -311,7 +310,7 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
         raise ValueError(
             f"oracle factorization P0 = L R failed: residual {resid:.3e}")
 
-    ts = np.linspace(-half_width * T, half_width * T, n_points)
+    ts = np.linspace(-8.0 * T, 8.0 * T, n_points)
     h = ts[1] - ts[0]
     weights = np.exp(-ts ** 2 / (2.0 * T * T))
 
@@ -345,7 +344,6 @@ class Trajectory:
     states: list
     trace_dev: np.ndarray
     min_eig: np.ndarray
-    picture: str
     flags: list
 
     @property
@@ -357,46 +355,37 @@ class Trajectory:
         return float(np.min(self.min_eig)) if len(self.min_eig) else 0.0
 
 
-def evolve(bundle: GeneratorBundle, state0: np.ndarray, times: Sequence[float],
-           picture: str = "schrodinger") -> Trajectory:
-    """Propagate an initial operator along exp(t * generator).
-
-    In the Schrödinger picture the initial state must be a density
-    matrix in the predual image; evolution uses the image-restricted
-    (quotient) generator, so trajectories stay representable on the
-    subsystem.  Trace deviation and the minimum eigenvalue are recorded
-    at every sampled time.  Negative times are evaluable but flagged.
+def evolve(bundle: GeneratorBundle, state0: np.ndarray,
+           times: Sequence[float]) -> Trajectory:
+    """Propagate a density matrix in the predual image along the
+    image-restricted (quotient) Schrödinger generator, so trajectories
+    stay representable on the subsystem.  Trace deviation and the
+    minimum eigenvalue are recorded at every sampled time.  Negative
+    times are evaluable but flagged.
     """
     times = np.asarray(list(times), dtype=float)
     flags = []
     if np.any(times < 0):
         flags.append("negative times requested; semigroup formula evaluated anyway")
     d = bundle.dim
-    state0 = np.asarray(state0, dtype=complex)
-
-    if picture == "schrodinger":
-        require_hermitian(state0, "initial state", rtol=1e-10)
-        if abs(np.trace(state0).real - 1.0) > 1e-9:
-            raise ValueError(f"initial state trace {np.trace(state0).real!r} != 1")
-        if not bundle.subsystem.state_in_image(state0, tol=1e-8):
-            raise ValueError("initial state is outside the subsystem image")
-        gen = bundle.quotient_schrodinger()
-    elif picture == "heisenberg":
-        gen = bundle.heisenberg
-    else:
-        raise ValueError(f"picture must be 'schrodinger' or 'heisenberg', got {picture!r}")
+    state0 = require_hermitian(state0, "initial state", rtol=1e-10)
+    if abs(np.trace(state0).real - 1.0) > 1e-9:
+        raise ValueError(f"initial state trace {np.trace(state0).real!r} != 1")
+    if max_abs(bundle.subsystem.project_state(state0) - state0) \
+            > 1e-8 * (1.0 + max_abs(state0)):
+        raise ValueError("initial state is outside the subsystem image")
 
     v0 = vectorize(state0)
     states, tdev, mineig = [], [], []
     for t in times:
-        X = devectorize(expm(t * gen) @ v0, d)
+        X = devectorize(expm(t * bundle.quotient_schrodinger) @ v0, d)
         states.append(X)
         tdev.append(abs(np.trace(X).real - np.trace(state0).real)
                     + abs(np.trace(X).imag))
         mineig.append(float(np.linalg.eigvalsh(hermitize(X))[0]))
     return Trajectory(times=times, states=states,
                       trace_dev=np.array(tdev), min_eig=np.array(mineig),
-                      picture=picture, flags=flags)
+                      flags=flags)
 
 
 @dataclass
@@ -414,7 +403,7 @@ class QdsCertificate:
 
 def qds_certificate(bundle: GeneratorBundle,
                     time_samples: Sequence[float] = (0.1, 1.0, 10.0, 100.0),
-                    rng=0, n_state_samples: int = 3) -> QdsCertificate:
+                    rng=0) -> QdsCertificate:
     """Certify semigroup properties at sampled times.
 
     Per time t: the Choi matrix of the Schrödinger propagator must be
@@ -422,8 +411,8 @@ def qds_certificate(bundle: GeneratorBundle,
     identity (residual <= 1e-10) and its dual must preserve the trace
     functional (<= 1e-9).  The composition law exp((s+t)G) =
     exp(sG) exp(tG) is checked on all sample pairs (<= 1e-9), and the
-    trace norm of evolved sampled states must not grow by more than
-    1e-9.  The spectral norm of the image-restricted Heisenberg
+    trace norm of three evolved sampled states must not grow by more
+    than 1e-9.  The spectral norm of the image-restricted Heisenberg
     propagator is reported (not asserted; it is a Hilbert-Schmidt
     proxy, not the algebra norm).
     """
@@ -434,7 +423,7 @@ def qds_certificate(bundle: GeneratorBundle,
     eye_vec = vectorize(np.eye(d))
 
     g_restricted, _ = bundle.restricted_heisenberg()
-    quotient = bundle.quotient_schrodinger()
+    quotient = bundle.quotient_schrodinger
 
     schr_props = {}
     choi_min, unit_dev, tp_dev, rnorm = [], [], [], []
@@ -456,7 +445,7 @@ def qds_certificate(bundle: GeneratorBundle,
 
     quotient_props = [expm(t * quotient) for t in times]
     growth = 0.0
-    for _ in range(n_state_samples):
+    for _ in range(3):
         G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = bundle.subsystem.project_state(G @ G.conj().T)
         rho = hermitize(rho) / np.trace(rho).real

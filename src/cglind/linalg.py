@@ -29,7 +29,6 @@ __all__ = [
     "PsdResult",
     "max_abs",
     "hermitize",
-    "hermiticity_defect",
     "require_hermitian",
     "require_square",
     "hermitian_eig",
@@ -43,7 +42,6 @@ __all__ = [
     "trace_pairing_adjoint",
     "choi_matrix",
     "is_psd",
-    "hs_inner",
     "operator_norm",
     "trace_norm",
     "trace_distance",
@@ -86,12 +84,6 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def hermiticity_defect(M: np.ndarray) -> float:
-    """Max-norm asymmetry ||M - M†||_max."""
-    M = np.asarray(M, dtype=complex)
-    return max_abs(M - M.conj().T)
-
-
 def require_hermitian(M: np.ndarray, name: str = "matrix",
                       rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """Validate Hermiticity to ``rtol * (1 + ||M||_max)``; return M as complex.
@@ -99,7 +91,7 @@ def require_hermitian(M: np.ndarray, name: str = "matrix",
     Raises ``ValueError`` carrying the max-asymmetry witness otherwise.
     """
     M = require_square(M, name)
-    defect = hermiticity_defect(M)
+    defect = max_abs(M - M.conj().T)
     if defect > rtol * (1.0 + max_abs(M)):
         raise ValueError(
             f"{name} is not Hermitian: max asymmetry {defect:.3e} "
@@ -114,10 +106,6 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
 
 
 def hermitian_eig(M: np.ndarray, name: str = "matrix") -> EigenSystem:
@@ -248,20 +236,15 @@ class PsdResult(NamedTuple):
     min_eig: float
 
 
-def is_psd(M: np.ndarray, tol: float = PSD_SLACK) -> PsdResult:
-    """PSD test: true iff lambda_min >= -tol * (1 + ||M||), where ||M||
-    is the spectral norm.  The minimum eigenvalue witness is returned
-    either way."""
+def is_psd(M: np.ndarray) -> PsdResult:
+    """PSD test: true iff lambda_min >= -PSD_SLACK * (1 + ||M||), where
+    ||M|| is the spectral norm.  The minimum eigenvalue witness is
+    returned either way."""
     M = require_square(hermitize(M), "is_psd argument")
     eigs = np.linalg.eigvalsh(M)
     min_eig = float(eigs[0])
     norm = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
-    return PsdResult(ok=min_eig >= -tol * (1.0 + norm), min_eig=min_eig)
-
-
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(A† B)."""
-    return complex(np.vdot(A, B))
+    return PsdResult(ok=min_eig >= -PSD_SLACK * (1.0 + norm), min_eig=min_eig)
 
 
 def operator_norm(M: np.ndarray) -> float:

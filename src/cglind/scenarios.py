@@ -178,12 +178,10 @@ class PreparedQfgr(PreparedGenerator):
         for D in amplitudes.values():
             S += lam2 * np.kron(D.conj(), D)
 
-        P_star = sub.schrodinger
-        general_q = P_star @ bundle.schrodinger @ P_star
+        residual = max_abs((S - bundle.quotient_schrodinger) @ sub.schrodinger)
         return QfgrGenerator(amplitudes=amplitudes, shifts=shifts,
                              effective_hamiltonian=h_eff, schrodinger=S,
-                             bundle=bundle,
-                             residual_vs_general=max_abs((S - general_q) @ P_star))
+                             bundle=bundle, residual_vs_general=residual)
 
 
 def qfgr_generator(m: QfgrModel) -> QfgrGenerator:
@@ -232,15 +230,21 @@ def fgr_rate_check(T_values: Sequence[float]) -> List[FgrRateRow]:
 # Heat bath
 # ---------------------------------------------------------------------------
 
+def _gibbs_eigh(H: np.ndarray, beta: float):
+    """(levels, eigenvectors, Gibbs populations exp(-beta (e - e_min)) / Z)
+    of a Hermitian H; the shifted exponents make large beta safe."""
+    evals, evecs = np.linalg.eigh(H)
+    w = np.exp(-beta * (evals - evals.min()))
+    return evals, evecs, w / w.sum()
+
+
 def gibbs_state(H: np.ndarray, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta H) / Z (shifted exponents, so large beta
-    is safe; beta = 0 gives the maximally mixed state)."""
+    """Thermal state exp(-beta H) / Z (beta = 0 gives the maximally
+    mixed state)."""
     H = require_hermitian(H, "Hamiltonian")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    evals, evecs = np.linalg.eigh(H)
-    w = np.exp(-beta * (evals - evals.min()))
-    w = w / w.sum()
+    _, evecs, w = _gibbs_eigh(H, beta)
     return evecs @ np.diag(w) @ evecs.conj().T
 
 
@@ -314,9 +318,7 @@ def bath_correlation(m: HeatBathModel) -> CorrelationData:
     first-order mean, which never drives it negative beyond roundoff.
     """
     merge_tol = 1e-10
-    evals, evecs = np.linalg.eigh(m.H_B)
-    w = np.exp(-m.beta * (evals - evals.min()))
-    pops = w / w.sum()
+    evals, evecs, pops = _gibbs_eigh(m.H_B, m.beta)
     Phi_eig = evecs.conj().T @ m.Phi @ evecs
     mean = float(np.sum(pops * np.diag(Phi_eig).real))
 

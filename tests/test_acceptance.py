@@ -131,7 +131,7 @@ def test_03_contraction():
     worst = 0.0
     for name, bundle in scenario_bundles():
         d = bundle.dim
-        quotient = bundle.quotient_schrodinger()
+        quotient = bundle.quotient_schrodinger
         for _ in range(3):
             G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             rho = bundle.subsystem.project_state(G @ G.conj().T)

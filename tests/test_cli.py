@@ -219,7 +219,8 @@ class TestValidate:
     # float() accepts nan and inf, a tiny coupling overflows the window
     # T = |lambda|^-xi t_ref, and in auto mode lambda^2 may underflow to 0
     # (1e-170) or leave tau_bar / lambda^2 infinite (1e-160): each is a
-    # config error naming its field.
+    # config error naming its field.  So is a negative seed, which numpy's
+    # generators reject.
     @pytest.mark.parametrize("text, old, new, field", [
         (BASE_QFGR, "t_ref = 1.2", "t_ref = nan", "[schedule].t_ref"),
         (BASE_QFGR, "t_ref = 1.2", "t_ref = inf", "[schedule].t_ref"),
@@ -238,10 +239,12 @@ class TestValidate:
          "mode = auto\ntau_bar = inf", "[time].tau_bar"),
         (INLINE_HEAT_BATH, "beta = 1.0", "beta = inf", "[scenario].beta"),
         (INLINE_HEAT_BATH, "beta = 1.0", "beta = nan", "[scenario].beta"),
+        (BASE_QFGR, "seed = 0", "seed = -1", "[run].seed"),
     ], ids=["t_ref-nan", "t_ref-inf", "lambda-nan", "lambda-inf",
             "lambda-window-overflow", "lambda-squared-underflow",
             "auto-window-overflow", "start-minus-inf", "stop-nan",
-            "tau_bar-nan", "tau_bar-inf", "beta-inf", "beta-nan"])
+            "tau_bar-nan", "tau_bar-inf", "beta-inf", "beta-nan",
+            "seed-negative"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_non_finite_number_exit_2(self, tmp_path, capsys, text, old, new,
                                       field, command):
@@ -250,6 +253,14 @@ class TestValidate:
         out = tmp_path / "out"
         assert main(["--out-dir", str(out), command, cfg]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, BASE_QFGR)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "--seed", "-5", command, cfg]) == 2
+        assert "config error: --seed: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_parse_config_collects_issues(self, tmp_path):
@@ -333,13 +344,20 @@ class TestRun:
 
     # Three couplings; the coupling-independent work runs once per run.  A
     # heat-bath run builds the partial-trace and the trivial subsystem.
+    # Schrödinger duals are derived only where read: one in each strict
+    # build's _gram, the trivial subsystem's, and one per coupling of each
+    # generator whose dual a check reads.  The qubit-gibbs full space is
+    # d = 8, so its Choi test reads the general dual; the partial-trace
+    # subsystem's own dual is never read.
     @pytest.mark.parametrize("text, couplings, expected", [
         (GIBBS, ("lambda = 0.3 0.1", "lambda = 0.3 0.2 0.1"),
          {"partial_trace_family": 1, "build_projection": 2,
-          "bath_correlation": 1, "_covariance_defect": 1, "lamb_shift": 3}),
+          "bath_correlation": 1, "_covariance_defect": 1, "lamb_shift": 3,
+          "trace_pairing_adjoint": 9}),
         (BASE_QFGR, ("lambda = 0.5 0.25", "lambda = 0.5 0.25 0.1"),
          {"partial_trace_family": 0, "build_projection": 1,
-          "bath_correlation": 0, "_covariance_defect": 1, "lamb_shift": 3}),
+          "bath_correlation": 0, "_covariance_defect": 1, "lamb_shift": 3,
+          "trace_pairing_adjoint": 5}),
     ], ids=["heat_bath", "qfgr"])
     def test_coupling_independent_work_once(self, tmp_path, monkeypatch,
                                             text, couplings, expected):

@@ -178,7 +178,7 @@ class TestIsPsd:
         assert res.ok and abs(res.min_eig - 1.0) < 1e-14
 
     def test_small_negative(self):
-        res = is_psd(np.diag([1.0, -1e-3]), tol=1e-9)
+        res = is_psd(np.diag([1.0, -1e-3]))
         assert not res.ok
         assert abs(res.min_eig + 1e-3) < 1e-15
 

@@ -440,6 +440,32 @@ class TestValidator:
         # the Kraus form itself is still completely positive
         assert report.complete_positivity.ok
 
+    def test_never_solves_the_commutant(self, rng, monkeypatch):
+        calls = []
+
+        def counted(family):
+            calls.append(family)
+            return commutant(family)
+        monkeypatch.setattr(subsystem, "commutant", counted)
+        subs = [dephasing_subsystem(),
+                build_projection(partial_trace_family(2, random_density(rng, 3))),
+                build_projection(broken_family(), strict=False),
+                build_projection(image_larger_family(random_unitary(rng, 3)),
+                                 strict=False)]
+        for sub in subs:
+            validate_cppnce(sub, rng=7)
+        assert calls == []
+
+    def test_image_larger_than_commutant_fails_fixed_points(self, rng):
+        # unital and idempotent, so only the commutator residual of the
+        # projected samples can catch the image that exceeds C 1
+        sub = build_projection(image_larger_family(random_unitary(rng, 3)),
+                               strict=False)
+        report = validate_cppnce(sub, rng=7)
+        assert report.unital.ok and report.idempotent.ok
+        assert not report.fixed_points.ok
+        assert report.fixed_points.witness > 1e-3
+
     def test_normality_vacuous(self):
         report = validate_cppnce(dephasing_subsystem(), rng=1)
         assert report.normality.ok
