@@ -42,8 +42,10 @@ row-major "re im" pairs)::
 
 Exit codes: 0 when every asserted invariant passed, 1 on invariant
 failure (witnesses in the JSON summary), 2 on a config error (a parse
-error or a model that cannot be built).  The CSV is byte-identical
-across repeated runs with the same config and seed.
+error, a model that cannot be built, or times t whose propagator
+exp(t G) needs more than the 64 squarings of ``expm``; nothing is
+written).  The CSV is byte-identical across repeated runs with the
+same config and seed.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from . import __version__
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda
 from .generator import PreparedGenerator, SteadyStateResult, evolve, \
     qds_certificate, steady_state
-from .linalg import choi_matrix, expm, is_psd, matrix_from_text
+from .linalg import ExpmScaleError, choi_matrix, expm, is_psd, matrix_from_text
 from .scenarios import (
     PRESETS,
     HeatBathModel,
@@ -489,10 +491,15 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
 
+    try:
+        report = run_config(cfg, threads=max(1, args.threads))
+    except ExpmScaleError as exc:  # needs ||G||, so validate cannot see it
+        fld = "[time].tau_bar" if cfg.time_mode == "auto" else "[time].stop"
+        print(f"config error: {fld}: t ||G|| too large for the propagator "
+              f"({exc})", file=sys.stderr)
+        return 2
     out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
-
-    report = run_config(cfg, threads=max(1, args.threads))
     _write_csv(os.path.join(out_dir, cfg.csv_name), report)
     _write_json(os.path.join(out_dir, cfg.json_name), cfg, report)
 

@@ -524,7 +524,9 @@ def steady_state(bundle: GeneratorBundle,
 
 def export_bundle(bundle: GeneratorBundle, directory) -> None:
     """Write the Lindblad pieces as interchange-format matrices plus a
-    plain-text manifest (schedule, dims, subsystem descriptor)."""
+    plain-text manifest (schedule, dims, subsystem descriptor).  Its
+    ``commutant_dim`` is rank P0 = round(Re Tr P0), which a checked build
+    proves equal to the commutant dimension."""
     import os
 
     os.makedirs(directory, exist_ok=True)
@@ -549,7 +551,7 @@ def export_bundle(bundle: GeneratorBundle, directory) -> None:
         f"T_ref = {sched.T_ref:.17g}",
         f"T = {bundle.T:.17g}",
         f"kraus_count = {len(bundle.subsystem.kraus.operators)}",
-        f"commutant_dim = {bundle.subsystem.commutant_info.dimension}",
+        f"commutant_dim = {round(np.trace(bundle.subsystem.heisenberg).real)}",
         "pieces = h_free h_first h_lamb decay jump_map heisenberg schrodinger",
     ]
     with open(os.path.join(directory, "manifest.txt"), "w", encoding="ascii") as fh:

@@ -33,12 +33,12 @@ __all__ = [
     "require_square",
     "hermitian_eig",
     "expm",
+    "ExpmScaleError",
     "vectorize",
     "devectorize",
     "sandwich_superop",
     "commutator_superop",
     "anticommutator_superop",
-    "transpose_superop_apply",
     "trace_pairing_adjoint",
     "choi_matrix",
     "is_psd",
@@ -128,6 +128,10 @@ def hermitian_eig(M: np.ndarray, name: str = "matrix") -> EigenSystem:
     return EigenSystem(values=values.real, vectors=vectors)
 
 
+class ExpmScaleError(ValueError):
+    """An ``expm`` argument whose 1-norm needs more than 64 squarings."""
+
+
 def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a fixed-order
     Taylor core.
@@ -145,7 +149,8 @@ def expm(M: np.ndarray) -> np.ndarray:
         return np.eye(d, dtype=complex)
     n_square = max(0, int(math.ceil(math.log2(norm1 / EXPM_SCALE_TARGET))))
     if n_square > 64:
-        raise ValueError(f"expm argument norm {norm1:.3e} too large to scale")
+        raise ExpmScaleError(
+            f"expm argument norm {norm1:.3e} too large to scale")
     B = M / (2.0 ** n_square)
     eye = np.eye(d, dtype=complex)
     acc = eye.copy()
@@ -195,25 +200,21 @@ def anticommutator_superop(A: np.ndarray) -> np.ndarray:
     return np.kron(eye, A) + np.kron(A.T, eye)
 
 
-def transpose_superop_apply(M: np.ndarray) -> np.ndarray:
-    """Conjugation T M T of a superoperator with the transpose map
-    vec(X) -> vec(X.T), done by index permutation (no matmuls)."""
-    dd = M.shape[0]
-    d = math.isqrt(dd)
-    if d * d != dd or M.shape != (dd, dd):
-        raise ValueError(f"not a superoperator shape: {M.shape}")
-    M4 = M.reshape(d, d, d, d)
-    return np.ascontiguousarray(M4.transpose(1, 0, 3, 2)).reshape(dd, dd)
-
-
 def trace_pairing_adjoint(M: np.ndarray) -> np.ndarray:
     """Adjoint superoperator w.r.t. the bilinear trace pairing Tr(rho X).
 
     If S has matrix M then its trace-pairing adjoint S* with
     Tr(S*(rho) X) = Tr(rho S(X)) has matrix T M.T T, with T the
-    transpose map.
+    transpose map vec(X) -> vec(X.T); the conjugation by T is an index
+    permutation (no matmuls).
     """
-    return transpose_superop_apply(np.asarray(M, dtype=complex).T)
+    M = np.asarray(M, dtype=complex)
+    dd = M.shape[0]
+    d = math.isqrt(dd)
+    if d * d != dd or M.shape != (dd, dd):
+        raise ValueError(f"not a superoperator shape: {M.shape}")
+    return np.ascontiguousarray(
+        M.T.reshape(d, d, d, d).transpose(1, 0, 3, 2)).reshape(dd, dd)
 
 
 def choi_matrix(S: np.ndarray) -> np.ndarray:

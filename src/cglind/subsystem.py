@@ -28,7 +28,6 @@ from .linalg import (
     require_hermitian,
     require_square,
     trace_pairing_adjoint,
-    transpose_superop_apply,
     vectorize,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "sector_family",
     "partial_trace_family",
     "trivial_family",
-    "partial_trace",
     "validate_cppnce",
     "kraus_to_text",
     "kraus_from_text",
@@ -89,11 +87,6 @@ class KrausFamily:
                 T4.transpose(0, 2, 1, 3)).reshape(d * d, d * d)
             self._superop.flags.writeable = False
         return self._superop
-
-    def unital_defect(self) -> float:
-        """||P0(1) - 1||_max with P0(1) = sum_a V_a† V_a."""
-        return max_abs(sum(V.conj().T @ V for V in self.operators)
-                       - np.eye(self.dim))
 
 
 @dataclass
@@ -179,18 +172,30 @@ def commutant(family: KrausFamily) -> CommutantResult:
 
 @dataclass
 class PhysicalSubsystem:
-    """A Kraus family with its Heisenberg projection.  The trace-pairing
-    adjoint (Schrödinger) projection and a commutant basis are derived on
-    first use: pure functions of read-only data, so a race repeats work."""
+    """A Kraus family, unchecked (``build_projection`` checks it).  P0 is
+    the family's cached superoperator; the rest is derived on first read,
+    from read-only data, so a race repeats work."""
 
     kraus: KrausFamily
-    heisenberg: np.ndarray
-    unital_defect: float
-    idempotency_defect: float
 
     @property
     def dim(self) -> int:
         return self.kraus.dim
+
+    @property
+    def heisenberg(self) -> np.ndarray:
+        return self.kraus.heisenberg_superop()
+
+    @cached_property
+    def unital_defect(self) -> float:
+        """||P0(1) - 1||_max with P0(1) = sum_a V_a† V_a."""
+        return max_abs(sum(V.conj().T @ V for V in self.kraus.operators)
+                       - np.eye(self.dim))
+
+    @cached_property
+    def idempotency_defect(self) -> float:
+        """||P0^2 - P0||_max, from a dense d^2 x d^2 product."""
+        return max_abs(self.heisenberg @ self.heisenberg - self.heisenberg)
 
     @cached_property
     def schrodinger(self) -> np.ndarray:
@@ -219,46 +224,60 @@ class PhysicalSubsystem:
         return image_basis(self.heisenberg)
 
 
-def build_projection(kraus: KrausFamily, strict: bool = True) -> PhysicalSubsystem:
-    """Build a PhysicalSubsystem from a Kraus family.
+def build_projection(kraus: KrausFamily) -> PhysicalSubsystem:
+    """The checked PhysicalSubsystem: P0 must be a conditional expectation
+    onto the commutant of {V_a, V_a†}.
 
-    With ``strict=True`` (default) the family is rejected unless it is
-    unit preserving and idempotent to 1e-10 and its image is the
-    commutant of {V_a, V_a†}.  A unital P0 fixes that commutant, so the
-    two are equal exactly when N P0 = 0 (N from ``_gram``).  Roundoff
-    model: each entry of N P0 sums n = d^2 terms to an exact 0 and, under
-    probabilistic rounding (Higham and Mary, SIAM J. Sci. Comput. 41,
-    2019), exceeds lam sqrt(n) u ||N||_inf max|P0| (u the unit roundoff,
-    ||.||_inf the largest row sum) with probability about exp(-lam^2/2).
-    lam = 1e3 gives at most 4.4e-10 for d <= 32 against residuals of at
-    most 1e-15; a larger image leaves an O(||N||) residual (0.5 at d = 3).
-    ``strict=False`` skips that check and records the defects (the
-    validator's diagnostic build).
+    It checks unitality to 1e-10 and N P0 = 0, N (``_gram``) vanishing
+    exactly on the commutant.  A unital P0 fixes the commutant, so then
+    image = commutant; and P0(Y) - Y = sum_a V_a† [Y, V_a] for unital P0,
+    so idempotency follows.  N P0 is sketched (Freivalds 1977) on k = 8
+    complex Gaussian probes Omega, fixed seed: N Y = A Y + Y A - 2 P0(Y) -
+    2 P0*(Y) for Y = P0 Omega, A = sum V†V + VV†, operator by operator,
+    with P0* = T S^T T (T: vec X -> vec X^T) by index permutation, O(k d^4)
+    and no d^2 x d^2 product.  Miss probability: in the row of max|N P0|,
+    N P0 omega is complex Gaussian of variance >= 2 max|N P0|^2, so a
+    family with max|N P0| > bound / eta passes with probability at most
+    (eta^2 / 2)^k, 4e-19 at eta = 0.1.  Roundoff model: with N P0 = 0,
+    max|N Y| is rounding in sums of <= n = d^2 terms, each off by more
+    than lam sqrt(n) u sum|terms| (u the unit roundoff) with probability
+    about exp(-lam^2/2) (Higham and Mary, SIAM J. Sci. Comput. 41, 2019).
+    So the bound is lam sqrt(n) u nu (s max|Omega| + max|Y|), lam = 1e3,
+    s >= ||S||_inf and s1 >= ||S||_1 from |S| <= sum_a |V_a^T| kron |V_a†|,
+    nu = 2 (||A||_inf + s + s1) >= ||N||_inf; it also bounds P0(Y) - Y of
+    an idempotent P0, which names the cause of a failure.
     """
-    S = kraus.heisenberg_superop()
-    unital_dev = kraus.unital_defect()
-    idem_dev = max_abs(S @ S - S)
-    if strict and unital_dev > 1e-10:
+    sub = PhysicalSubsystem(kraus)
+    if sub.unital_defect > 1e-10:
         raise ValueError(
-            f"Kraus family is not unit preserving: defect {unital_dev:.3e}")
-    if strict and idem_dev > 1e-10:
-        raise ValueError(
-            f"Kraus map is not idempotent: ||P0^2 - P0||_max = {idem_dev:.3e}")
-    if strict:
-        N = _gram(kraus)
-        resid = max_abs(N @ S)
-        bound = 1e3 * np.sqrt(S.shape[0]) * np.finfo(float).eps / 2 \
-            * float(np.abs(N).sum(axis=1).max()) * max_abs(S)
-        if resid > bound:
-            raise ValueError(
-                "projection image does not match the commutant span "
-                f"(invariance residual max|N P0| = {resid:.3e} > {bound:.3e})")
-    return PhysicalSubsystem(
-        kraus=kraus,
-        heisenberg=S,
-        unital_defect=unital_dev,
-        idempotency_defect=idem_dev,
-    )
+            f"Kraus family is not unit preserving: defect {sub.unital_defect:.3e}")
+    d, k, S = kraus.dim, 8, kraus.heisenberg_superop()
+    A = sum(V.conj().T @ V + V @ V.conj().T for V in kraus.operators)
+    absV = np.abs(np.stack(kraus.operators))
+    col, row = absV.sum(axis=1), absV.sum(axis=2)
+    s, s1 = float((col.T @ col).max()), float((row.T @ row).max())
+    nu = 2.0 * (float(np.abs(A).sum(axis=1).max()) + s + s1)
+    rng = np.random.default_rng(0)
+    omega = rng.standard_normal((d * d, k)) + 1j * rng.standard_normal((d * d, k))
+
+    def transpose(Z):  # columns vec(X) -> vec(X^T)
+        return Z.reshape(d, d, k).swapaxes(0, 1).reshape(d * d, k)
+    Y = S @ omega
+    PY = S @ Y
+    Yt = Y.T.reshape(k, d, d)  # Yt[j] = X_j^T, so A X + X A -> Yt Ā + Ā Yt
+    NY = (Yt @ A.conj() + A.conj() @ Yt).reshape(k, -1).T \
+        - 2.0 * (PY + transpose(S.T @ transpose(Y)))
+    bound = 1e3 * d * np.finfo(float).eps / 2 * nu \
+        * (s * max_abs(omega) + max_abs(Y))
+    resid, idem = max_abs(NY), max_abs(PY - Y)
+    if resid <= bound:
+        return sub
+    if idem > bound:
+        raise ValueError(f"Kraus map is not idempotent: max|P0^2 - P0| on {k} "
+                         f"probes = {idem:.3e} > {bound:.3e}")
+    raise ValueError(
+        "projection image does not match the commutant span (invariance "
+        f"residual max|N P0| on {k} probes = {resid:.3e} > {bound:.3e})")
 
 
 def sector_family(sector_dims: Sequence[int]) -> KrausFamily:
@@ -286,25 +305,13 @@ def trivial_family(dim: int) -> KrausFamily:
     return KrausFamily([np.eye(dim, dtype=complex)])
 
 
-def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    """Brute-force partial trace over B of an operator on a tensor
-    product space (A kron B index layout), or of each operator in a
-    stack (leading axes)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (dim_a * dim_b, dim_a * dim_b):
-        raise ValueError(
-            f"expected {(dim_a * dim_b,) * 2} matrix, got {rho.shape}")
-    R = rho.reshape(rho.shape[:-2] + (dim_a, dim_b, dim_a, dim_b))
-    return np.einsum("...ikjk->...ij", R)
-
-
 def partial_trace_family(dim_a: int, bath_state: np.ndarray) -> KrausFamily:
     """Kraus family V_ab = 1_A kron sqrt(w)|phi_b><phi_a| built in the
     bath-state eigenbasis (ascending eigenvalues).
 
     The induced Schrödinger projection is rho -> Tr_B(rho) kron w; this
-    is verified entrywise against the direct partial-trace routine on a
-    full operator basis before returning.
+    is verified entrywise against that closed form on every unit
+    operator before returning.
     """
     w = require_hermitian(bath_state, "bath state")
     dim_b = w.shape[0]
@@ -329,18 +336,18 @@ def partial_trace_family(dim_a: int, bath_state: np.ndarray) -> KrausFamily:
 
 
 def _predual_defect(S: np.ndarray, dim_a: int, w: np.ndarray) -> float:
-    """max_k ||S*(E_k) - Tr_B(E_k) kron w||_max over all d^2 unit operators
-    E_k = devec(e_k) at once, S* the trace-pairing adjoint of S."""
+    """max_k ||S*(E_k) - Tr_B(E_k) kron w||_max over the d^2 unit operators
+    E_k, S* the trace-pairing adjoint of S, one row of S at a time:
+    S*(E_ab)[p, q] = S[a d + b, p d + q], and for a = (i, alpha), b = (j,
+    beta) Tr_B(E_ab) kron w is delta_{alpha beta} |i><j| kron w."""
     dim_b = w.shape[0]
-    d = dim_a * dim_b
-    # Row k of a C-order reshape is devec(column k) transposed; the rows
-    # of T S T (T the transpose map) are the columns of S* = T S^T T.
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d).transpose(0, 2, 1)
-    got = transpose_superop_apply(S).reshape(d * d, d, d).transpose(0, 2, 1)
-    reduced = partial_trace(units, dim_a, dim_b)
-    expect = (reduced[:, :, None, :, None] * w[None, None, :, None, :]
-              ).reshape(d * d, d, d)
-    return max_abs(got - expect)
+    d, js, worst = dim_a * dim_b, np.arange(dim_a), 0.0
+    for a, row in enumerate(S.reshape(d, dim_a, dim_b, dim_a, dim_b, dim_a, dim_b)):
+        i, alpha = divmod(a, dim_b)
+        diff = row.copy()
+        diff[js, alpha, i, :, js, :] -= w
+        worst = max(worst, max_abs(diff))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from cglind.scenarios import (
 )
 from cglind.subsystem import (
     KrausFamily,
+    PhysicalSubsystem,
     build_projection,
     partial_trace_family,
     sector_family,
@@ -262,7 +263,7 @@ def test_10_conditional_expectation_validator():
     r1 = validate_cppnce(sector_sub, rng=3)
     r2 = validate_cppnce(pt_sub, rng=3)
     broken = KrausFamily([np.eye(2, dtype=complex) / 2, SX / 2, SZ / 2])
-    r3 = validate_cppnce(build_projection(broken, strict=False), rng=3)
+    r3 = validate_cppnce(PhysicalSubsystem(broken), rng=3)
     ok = r1.all_passed and r2.all_passed and not r3.bimodule.ok \
         and r3.bimodule.witness > 0.0
     report(10, ok, "validator passes scenario families, breaks broken family",

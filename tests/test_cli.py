@@ -344,20 +344,21 @@ class TestRun:
 
     # Three couplings; the coupling-independent work runs once per run.  A
     # heat-bath run builds the partial-trace and the trivial subsystem.
-    # Schrödinger duals are derived only where read: one in each strict
-    # build's _gram, the trivial subsystem's, and one per coupling of each
-    # generator whose dual a check reads.  The qubit-gibbs full space is
+    # Schrödinger duals are derived only where read: the trivial
+    # subsystem's and one per coupling of each generator whose dual a
+    # check reads.  The checked build applies P0* to its probes by index
+    # permutation and forms neither P0* nor the Gram matrix.  The qubit-gibbs full space is
     # d = 8, so its Choi test reads the general dual; the partial-trace
     # subsystem's own dual is never read.
     @pytest.mark.parametrize("text, couplings, expected", [
         (GIBBS, ("lambda = 0.3 0.1", "lambda = 0.3 0.2 0.1"),
          {"partial_trace_family": 1, "build_projection": 2,
           "bath_correlation": 1, "_covariance_defect": 1, "lamb_shift": 3,
-          "trace_pairing_adjoint": 9}),
+          "trace_pairing_adjoint": 7, "_gram": 0}),
         (BASE_QFGR, ("lambda = 0.5 0.25", "lambda = 0.5 0.25 0.1"),
          {"partial_trace_family": 0, "build_projection": 1,
           "bath_correlation": 0, "_covariance_defect": 1, "lamb_shift": 3,
-          "trace_pairing_adjoint": 5}),
+          "trace_pairing_adjoint": 4, "_gram": 0}),
     ], ids=["heat_bath", "qfgr"])
     def test_coupling_independent_work_once(self, tmp_path, monkeypatch,
                                             text, couplings, expected):
@@ -376,6 +377,34 @@ class TestRun:
         cfg = write_config(tmp_path, text.replace(*couplings))
         assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 0
         assert calls == expected
+
+    # Times whose propagator exp(t G) needs more than the 64 squarings of
+    # expm: validate cannot see them (the bound needs ||G||), so run
+    # reports a config error on the field that sets the times and writes
+    # nothing.  A large time that still scales is an invariant failure
+    # with the JSON written.
+    @pytest.mark.parametrize("text, old, new, field", [
+        (BASE_QFGR, "stop = 6.0", "stop = 1e300", "[time].stop"),
+        (AUTO_SMALL_XI, "tau_bar = 0.2", "tau_bar = 1e300", "[time].tau_bar"),
+    ], ids=["explicit", "auto"])
+    def test_time_beyond_squaring_budget_exit_2(self, tmp_path, capsys, text,
+                                                old, new, field):
+        assert old in text
+        cfg = write_config(tmp_path, text.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "validate", cfg]) == 0
+        assert main(["--out-dir", str(out), "run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}: " in err and "too large" in err
+        assert not out.exists()
+
+    def test_large_scalable_time_is_recorded(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_QFGR.replace("stop = 6.0",
+                                                       "stop = 1e18"))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "run", cfg]) == 1
+        assert "trace deviation" in capsys.readouterr().err
+        assert json.loads((out / "out.json").read_text())["passed"] is False
 
     def test_sector_mismatch_is_recorded(self, tmp_path, monkeypatch, capsys):
         # A doubled decay term in the sector assembly only: the general

@@ -6,6 +6,7 @@ from scipy.integrate import cumulative_simpson
 
 from conftest import random_density, random_hermitian
 import cglind.generator as generator_module
+import cglind.subsystem as subsystem_module
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
 from cglind.generator import (
     _covariance_defect,
@@ -32,6 +33,7 @@ from cglind.linalg import (
 )
 from cglind.subsystem import (
     KrausFamily,
+    PhysicalSubsystem,
     build_projection,
     partial_trace_family,
     sector_family,
@@ -199,7 +201,7 @@ def _oracle_case(name, rng):
     if name == "not-idempotent":
         ops = [0.5 * (rng.standard_normal((3, 3))
                       + 1j * rng.standard_normal((3, 3))) for _ in range(2)]
-        sub = build_projection(KrausFamily(ops), strict=False)
+        sub = PhysicalSubsystem(KrausFamily(ops))
         assert sub.idempotency_defect > 1e-2
         return sub, random_hermitian(rng, 3), random_hermitian(rng, 3), 0.8
     raise KeyError(name)
@@ -369,10 +371,14 @@ class TestCertificate:
 
 
 class TestExport:
-    def test_export_round_trip(self, tmp_path):
+    def test_export_round_trip(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(subsystem_module, "commutant",
+                            lambda family: calls.append(family))
         bundle = dephasing_bundle()
         out = tmp_path / "bundle"
         export_bundle(bundle, out)
+        assert calls == []  # the manifest reads rank P0 = Tr P0
         names = {"h_free.mat", "h_first.mat", "h_lamb.mat", "decay.mat",
                  "jump_map.mat", "heisenberg.mat", "schrodinger.mat",
                  "manifest.txt", "kraus.mat"}
@@ -383,3 +389,4 @@ class TestExport:
         manifest = (out / "manifest.txt").read_text()
         assert "lambda = 1" in manifest
         assert "dim = 2" in manifest
+        assert "commutant_dim = 2\n" in manifest

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,13 @@ from cglind.linalg import (
 )
 from cglind.subsystem import (
     KrausFamily,
+    PhysicalSubsystem,
     _gram,
     _predual_defect,
     build_projection,
     commutant,
     kraus_from_text,
     kraus_to_text,
-    partial_trace,
     partial_trace_family,
     sector_family,
     trivial_family,
@@ -36,6 +38,12 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def partial_trace(rho, dim_a, dim_b):
+    """Brute-force partial trace over B (A kron B index layout)."""
+    R = np.asarray(rho, dtype=complex).reshape(dim_a, dim_b, dim_a, dim_b)
+    return np.einsum("ikjk->ij", R)
 
 
 def image_larger_family(U):
@@ -83,8 +91,39 @@ class TestBuildProjection:
         with pytest.raises(ValueError, match="idempotent|unit"):
             build_projection(broken_family())
 
+    def test_rejects_unital_non_idempotent(self):
+        # qubit depolarizing channel: unital, and P0^2 != P0 for 0 < p < 1
+        p = 0.3
+        SY = np.array([[0, -1j], [1j, 0]])
+        fam = KrausFamily([np.sqrt(1 - 3 * p / 4) * np.eye(2, dtype=complex)]
+                          + [np.sqrt(p / 4) * P for P in (SX, SY, SZ)])
+        assert PhysicalSubsystem(fam).unital_defect < 1e-15
+        with pytest.raises(ValueError, match="Kraus map is not idempotent"):
+            build_projection(fam)
+
+    def test_build_forms_no_dense_square(self, rng):
+        # idempotency follows from the checks made, so S @ S runs only
+        # when the defect is read
+        sub = build_projection(partial_trace_family(2, random_density(rng, 3)))
+        assert "idempotency_defect" not in sub.__dict__
+        assert sub.idempotency_defect < 1e-12
+        assert sub.heisenberg is sub.kraus.heisenberg_superop()
+
+    def test_probe_residual_is_gram_on_the_probes(self, rng):
+        # the reported residual is max|N P0 Omega| for the build's seeded
+        # probes, N applied operator by operator; the dense Gram matrix
+        # on the same probes gives the same value
+        fam = image_larger_family(random_unitary(rng, 3))
+        probes = np.random.default_rng(0).standard_normal((2, 9, 8))
+        omega = probes[0] + 1j * probes[1]
+        dense = max_abs(_gram(fam) @ fam.heisenberg_superop() @ omega)
+        with pytest.raises(ValueError, match="on 8 probes") as info:
+            build_projection(fam)
+        reported = float(re.search(r"probes = (\S+) >", str(info.value))[1])
+        assert reported == pytest.approx(dense, rel=1e-3)
+
     def test_lenient_build_records_defects(self):
-        sub = build_projection(broken_family(), strict=False)
+        sub = PhysicalSubsystem(broken_family())
         assert sub.idempotency_defect > 1e-3
         assert sub.unital_defect > 1e-3
 
@@ -93,7 +132,7 @@ class TestBuildProjection:
         with pytest.raises(ValueError, match="does not match the commutant "
                            r"span \(invariance residual max\|N P0\|"):
             build_projection(fam)
-        sub = build_projection(fam, strict=False)
+        sub = PhysicalSubsystem(fam)
         assert sub.commutant_info.dimension == 1
         assert sub.unital_defect < 1e-12
         assert sub.idempotency_defect < 1e-12
@@ -153,7 +192,7 @@ class TestCommutantGramRoute:
                 V[sl, sl] = 0.1 * (rng.standard_normal((8, 8))
                                    + 1j * rng.standard_normal((8, 8)))
             ops.append(V)
-        sub = build_projection(KrausFamily(ops), strict=False)
+        sub = PhysicalSubsystem(KrausFamily(ops))
         assert sub.idempotency_defect > 1e-3
         return sub, 2
 
@@ -432,7 +471,7 @@ class TestValidator:
         assert report.complete_positivity.ok
 
     def test_broken_family_fails_bimodule(self):
-        sub = build_projection(broken_family(), strict=False)
+        sub = PhysicalSubsystem(broken_family())
         report = validate_cppnce(sub, rng=7)
         assert not report.bimodule.ok
         assert report.bimodule.witness > 1e-3
@@ -449,9 +488,8 @@ class TestValidator:
         monkeypatch.setattr(subsystem, "commutant", counted)
         subs = [dephasing_subsystem(),
                 build_projection(partial_trace_family(2, random_density(rng, 3))),
-                build_projection(broken_family(), strict=False),
-                build_projection(image_larger_family(random_unitary(rng, 3)),
-                                 strict=False)]
+                PhysicalSubsystem(broken_family()),
+                PhysicalSubsystem(image_larger_family(random_unitary(rng, 3)))]
         for sub in subs:
             validate_cppnce(sub, rng=7)
         assert calls == []
@@ -459,8 +497,7 @@ class TestValidator:
     def test_image_larger_than_commutant_fails_fixed_points(self, rng):
         # unital and idempotent, so only the commutator residual of the
         # projected samples can catch the image that exceeds C 1
-        sub = build_projection(image_larger_family(random_unitary(rng, 3)),
-                               strict=False)
+        sub = PhysicalSubsystem(image_larger_family(random_unitary(rng, 3)))
         report = validate_cppnce(sub, rng=7)
         assert report.unital.ok and report.idempotent.ok
         assert not report.fixed_points.ok
