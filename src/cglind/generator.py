@@ -29,10 +29,9 @@ import numpy as np
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda, coarse_grained_L, \
     lamb_shift
 from .linalg import (
+    ELEMENTWISE_CHUNK,
     PSD_SLACK,
-    anticommutator_superop,
     choi_matrix,
-    commutator_superop,
     devectorize,
     expm,
     hermitian_eig,
@@ -43,6 +42,7 @@ from .linalg import (
     numerical_nullity,
     operator_norm,
     require_hermitian,
+    require_square,
     sandwich_superop,
     trace_norm,
     trace_pairing_adjoint,
@@ -152,9 +152,54 @@ class GeneratorBundle:
 
 def lindblad_superop(hamiltonian: np.ndarray, decay: np.ndarray,
                      jump: np.ndarray) -> np.ndarray:
-    """Heisenberg superoperator X -> i[H, X] - (1/2){decay, X} + jump(X)."""
-    return 1j * commutator_superop(hamiltonian) \
-        - 0.5 * anticommutator_superop(decay) + jump
+    """Heisenberg superoperator X -> i[H, X] - (1/2){decay, X} + jump(X).
+
+    The value is 1j * commutator_superop(H)
+    - 0.5 * anticommutator_superop(decay) + jump, written one row block
+    at a time into the output, so no d^2 x d^2 temporary is formed.
+    kron(X, Y)[i d + k, j d + l] = X[i, j] * Y[k, l], so row block i of
+    kron(X, Y) is X[i, j] * Y[k, l] over (k, j, l): the same elementwise
+    products np.kron forms, combined in the same order, hence the same
+    bits.  Besides the output, the work memory is two d^3 blocks.
+    """
+    H = require_square(hamiltonian, "commutator generator")
+    A = require_square(decay, "anticommutator generator")
+    d = H.shape[0]
+    dd = d * d
+    jump = np.asarray(jump)
+    if A.shape != H.shape or jump.shape != (dd, dd):
+        raise ValueError(
+            f"incompatible Lindblad pieces: hamiltonian {H.shape}, "
+            f"decay {A.shape}, jump {jump.shape}")
+    out = np.empty((dd, dd), dtype=complex)
+    eye = np.eye(d, dtype=complex)
+    tmp, tmp2 = np.empty((2, d, d, d), dtype=complex)
+    for i, blk in enumerate(out.reshape(d, d, d, d)):
+        # 1j * (kron(1, H) - kron(H^T, 1))
+        _kron_row_block(eye, H, i, blk)
+        _kron_row_block(H.T, eye, i, tmp)
+        np.subtract(blk, tmp, out=blk)
+        np.multiply(1j, blk, out=blk)
+        # - 0.5 * (kron(1, A) + kron(A^T, 1))
+        _kron_row_block(eye, A, i, tmp)
+        _kron_row_block(A.T, eye, i, tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.multiply(0.5, tmp, out=tmp)
+        np.subtract(blk, tmp, out=blk)
+        np.add(blk, jump[i * d:(i + 1) * d].reshape(d, d, d), out=blk)
+    return out
+
+
+def _kron_row_block(X: np.ndarray, Y: np.ndarray, i: int, out: np.ndarray):
+    """Row block i of kron(X, Y) for d x d factors, as out[k, j, l] =
+    X[i, j] * Y[k, l], a few columns j at a time: numpy buffers both
+    factors of a broadcast product, and over all of (k, j, l) that
+    would be two more d^3 arrays."""
+    d = X.shape[1]
+    step = max(1, ELEMENTWISE_CHUNK // (d * d))
+    for j in range(0, d, step):
+        np.multiply(X[i, j:j + step, None], Y[:, None, :],
+                    out=out[:, j:j + step])
 
 
 def assemble_kt(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
@@ -193,14 +238,24 @@ def _covariance_defect(H0: np.ndarray, P: np.ndarray) -> float:
     contracts b; on the rows (functionals vec(Y)^T, mapped to
     vec([H0^T, Y])^T) the same factors contract a and b from the right.
     The factor i does not change the norm.
+
+    One row block (b, .) of [Z, P] at a time, with a running max, so
+    the extra memory is O(d^3): row block b of ZP takes H0 against the
+    rows (b, .) of P and row b of H0^T against all of P.
     """
     d = H0.shape[0]
     dd = d * d
-    ZP = np.matmul(H0, P.reshape(d, d, dd)) \
-        - (H0.T @ P.reshape(d, d * dd)).reshape(d, d, dd)
-    PZ = (P.reshape(dd * d, d) @ H0).reshape(dd, d, d) \
-        - np.matmul(H0, P.reshape(dd, d, d))
-    return max_abs(ZP.reshape(dd, dd) - PZ.reshape(dd, dd))
+    rows = P.reshape(d, d, dd)
+    by_b = P.reshape(d, d * dd)
+    defect = 0.0
+    for b in range(d):
+        Pb = rows[b]
+        diff = H0 @ Pb
+        diff -= (H0.T[b] @ by_b).reshape(d, dd)
+        diff -= (Pb.reshape(dd, d) @ H0).reshape(d, dd)
+        diff += np.matmul(H0, Pb.reshape(d, d, d)).reshape(d, dd)
+        defect = max(defect, max_abs(diff))
+    return defect
 
 
 class PreparedGenerator:

@@ -60,6 +60,13 @@ PSD_SLACK = 1e-9
 EXPM_TAYLOR_ORDER = 18
 EXPM_SCALE_TARGET = 0.5
 
+# numpy copies a broadcast or transposed operand of an elementwise op
+# into a buffer as large as the op (up to 8192 elements); the streamed
+# kernels split such ops into pieces of at most this many elements, or
+# of one row where a row is longer, so the buffers stay small next to
+# a d^2 x d^2 array.
+ELEMENTWISE_CHUNK = 256
+
 
 def max_abs(M: np.ndarray) -> float:
     """Largest absolute entry (max norm)."""
@@ -141,6 +148,14 @@ def expm(M: np.ndarray) -> np.ndarray:
     order ``EXPM_TAYLOR_ORDER`` (remainder < 1e-22 at norm 0.5), and the
     result is squared s times.  Accurate to ~1e-12 relative for the norm
     ranges used here (dims <= 64, ||M|| <~ 1e3).
+
+    The Horner step is acc <- 1 + (B @ acc) / k with B = M / 2**s, but
+    B is never formed: the step divides M @ acc by k 2**s instead.
+    Scaling by a power of two is exact and scales every rounding, so
+    each product, sum and quotient has the same bits either way, as long
+    as no entry of B or of a partial product falls into the subnormal
+    range.  Three work arrays (the identity, the accumulator and one
+    product buffer) are allocated once; the squarings swap the last two.
     """
     M = require_square(M, "expm argument")
     d = M.shape[0]
@@ -151,13 +166,17 @@ def expm(M: np.ndarray) -> np.ndarray:
     if n_square > 64:
         raise ExpmScaleError(
             f"expm argument norm {norm1:.3e} too large to scale")
-    B = M / (2.0 ** n_square)
+    scale = 2.0 ** n_square
     eye = np.eye(d, dtype=complex)
     acc = eye.copy()
+    tmp = np.empty_like(acc)
     for k in range(EXPM_TAYLOR_ORDER, 0, -1):
-        acc = eye + (B @ acc) / k
+        np.matmul(M, acc, out=tmp)
+        np.divide(tmp, k * scale, out=tmp)
+        np.add(eye, tmp, out=acc)
     for _ in range(n_square):
-        acc = acc @ acc
+        np.matmul(acc, acc, out=tmp)
+        acc, tmp = tmp, acc
     return acc
 
 
@@ -241,8 +260,16 @@ def is_psd(M: np.ndarray) -> PsdResult:
     """PSD test: true iff lambda_min >= -PSD_SLACK * (1 + ||M||), where
     ||M|| is the spectral norm.  The minimum eigenvalue witness is
     returned either way."""
-    M = require_square(hermitize(M), "is_psd argument")
-    eigs = np.linalg.eigvalsh(M)
+    M = require_square(M, "is_psd argument")
+    # hermitize(M) in one copy, with the same sums and halvings, hence
+    # the same bits; the transposed add goes a few rows at a time
+    n = M.shape[0]
+    H = M.conj().T
+    step = max(1, ELEMENTWISE_CHUNK // max(1, n))
+    for r in range(0, n, step):
+        H[r:r + step] += M[r:r + step]
+    H *= 0.5
+    eigs = np.linalg.eigvalsh(H)
     min_eig = float(eigs[0])
     norm = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
     return PsdResult(ok=min_eig >= -PSD_SLACK * (1.0 + norm), min_eig=min_eig)

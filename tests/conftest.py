@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,43 @@ def random_density(rng, d):
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
+
+
+# Memory budgets are checked at d = 12, where one d^2 x d^2 complex
+# array is 324 KB.
+BUDGET_DIM = 12
+
+
+def with_signed_zeros(rng, X):
+    """Copy of X with about half of its real parts and half of its
+    imaginary parts set to +0 or -0 (drawn evenly)."""
+    X = np.array(X, dtype=complex)
+    for part in (X.real, X.imag):
+        mask = rng.random(X.shape) < 0.5
+        part[mask] = np.where(rng.random(int(mask.sum())) < 0.5, 0.0, -0.0)
+    return X
+
+
+def superop_bytes(d):
+    """Size of one d^2 x d^2 complex array."""
+    return (d * d) ** 2 * np.dtype(complex).itemsize
+
+
+def traced_peak(fn, *args):
+    """Peak of the memory Python's allocators hold during fn(*args),
+    above what they held before, the result included.  Workspace that
+    BLAS and LAPACK allocate themselves is invisible here."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

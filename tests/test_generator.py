@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 
-from conftest import random_density, random_hermitian
+from conftest import (
+    BUDGET_DIM,
+    random_density,
+    random_hermitian,
+    superop_bytes,
+    traced_peak,
+    with_signed_zeros,
+)
 import cglind.generator as generator_module
 import cglind.subsystem as subsystem_module
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
@@ -15,6 +22,7 @@ from cglind.generator import (
     evolve,
     export_bundle,
     k_t_oracle,
+    lindblad_superop,
     qds_certificate,
     steady_state,
 )
@@ -39,10 +47,18 @@ from cglind.subsystem import (
     sector_family,
     trivial_family,
 )
-from cglind.scenarios import gibbs_state
+from cglind.scenarios import gibbs_state, qfgr_two_block_model
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _lindblad_superop_kron(H, A, jump):
+    """Reference: the Kronecker-product assembly that lindblad_superop
+    writes row block by row block."""
+    eye = np.eye(H.shape[0], dtype=complex)
+    return 1j * (np.kron(eye, H) - np.kron(H.T, eye)) \
+        - 0.5 * (np.kron(eye, A) + np.kron(A.T, eye)) + jump
 
 
 def dephasing_sub():
@@ -72,6 +88,41 @@ def commutator_bundle():
                            SZ, sched)
 
 
+class TestLindbladSuperop:
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_matches_kron_assembly_bytes(self, d, rng):
+        def draw(n):
+            return with_signed_zeros(rng, rng.standard_normal((n, n))
+                                     + 1j * rng.standard_normal((n, n)))
+        H, A, jump = draw(d), draw(d), draw(d * d)
+        assert lindblad_superop(H, A, jump).tobytes() \
+            == _lindblad_superop_kron(H, A, jump).tobytes()
+
+    def test_sector_jump_matches_kron_assembly_bytes(self):
+        m = qfgr_two_block_model()
+        sub = build_projection(sector_family(m.sector_dims))
+        K, shift, decay, jump = assemble_kt(sub, hermitian_eig(m.H0), m.Hp,
+                                            T_of_lambda(m.schedule))
+        assert np.any(np.all(jump == 0, axis=1))  # exact zero rows
+        ref = _lindblad_superop_kron(shift, decay, jump)
+        assert K.tobytes() == ref.tobytes()
+
+    def test_rejects_mismatched_pieces(self):
+        with pytest.raises(ValueError, match="incompatible Lindblad pieces"):
+            lindblad_superop(SZ, SZ, np.zeros((9, 9)))
+        with pytest.raises(ValueError, match="incompatible Lindblad pieces"):
+            lindblad_superop(SZ, np.eye(3), np.zeros((4, 4)))
+
+    def test_memory_budget(self, rng):
+        # the output and two d^3 work blocks (LAPACK and BLAS workspace
+        # would be invisible to tracemalloc; this kernel uses none)
+        d = BUDGET_DIM
+        H, A = random_hermitian(rng, d), random_hermitian(rng, d)
+        jump = rng.standard_normal((d * d, d * d)) + 0j
+        assert traced_peak(lindblad_superop, H, A, jump) \
+            < 1.25 * superop_bytes(d)
+
+
 class TestBuildGenerator:
     def test_perturbation_in_image_gives_pure_commutator(self):
         bundle = commutator_bundle()
@@ -91,6 +142,17 @@ class TestBuildGenerator:
         sched = CoarseGrainSchedule(lam=0.0, xi=1.0, T_ref=1.0)
         with pytest.raises(ValueError, match="nonzero"):
             build_generator(dephasing_sub(), SZ, SX, sched)
+
+    def test_covariance_defect_memory_budget(self, rng):
+        # one row block of [Z, P] at a time: O(d^3) next to the
+        # d^2 x d^2 input (LAPACK and BLAS workspace is invisible to
+        # tracemalloc)
+        d = BUDGET_DIM
+        H0 = random_hermitian(rng, d)
+        P = rng.standard_normal((d * d, d * d)) \
+            + 1j * rng.standard_normal((d * d, d * d))
+        assert traced_peak(_covariance_defect, H0, P) \
+            < 0.25 * superop_bytes(d)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_covariance_defect_matches_dense(self, d, rng):

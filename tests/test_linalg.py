@@ -1,14 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_unitary
+from conftest import (
+    BUDGET_DIM,
+    random_hermitian,
+    random_unitary,
+    superop_bytes,
+    traced_peak,
+    with_signed_zeros,
+)
 from cglind.linalg import (
+    EXPM_SCALE_TARGET,
+    EXPM_TAYLOR_ORDER,
+    ExpmScaleError,
     anticommutator_superop,
     choi_matrix,
     commutator_superop,
     devectorize,
     expm,
     hermitian_eig,
+    hermitize,
     is_psd,
     matrix_from_text,
     matrix_to_text,
@@ -20,6 +33,30 @@ from cglind.linalg import (
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def _expm_allocating(M):
+    """Reference: the Horner loop of expm with a scaled copy
+    B = M / 2**s and a new array for every step."""
+    M = np.asarray(M, dtype=complex)
+    d = M.shape[0]
+    norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if d else 0.0
+    if norm1 == 0.0:
+        return np.eye(d, dtype=complex)
+    n_square = max(0, int(math.ceil(math.log2(norm1 / EXPM_SCALE_TARGET))))
+    B = M / (2.0 ** n_square)
+    eye = np.eye(d, dtype=complex)
+    acc = eye.copy()
+    for k in range(EXPM_TAYLOR_ORDER, 0, -1):
+        acc = eye + (B @ acc) / k
+    for _ in range(n_square):
+        acc = acc @ acc
+    return acc
+
+
+def _with_norm1(M, norm1):
+    """M rescaled to the given 1-norm; a zero M is returned as it is."""
+    now = float(np.max(np.sum(np.abs(M), axis=0)))
+    return M * (norm1 / now) if now else M
 
 
 class TestHermitianEig:
@@ -81,6 +118,41 @@ class TestExpm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             expm(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_allocating_loop_bytes(self, d, rng):
+        # 1-norm 0.4 * 2**s takes exactly s squarings.  The general draws
+        # overflow at the larger norms (inf and nan must agree too); the
+        # skew-Hermitian ones stay unitary.
+        for n_square in range(15):
+            G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for M in (G, 1j * (G + G.conj().T)):
+                M = _with_norm1(with_signed_zeros(rng, M), 0.4 * 2.0 ** n_square)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert expm(M).tobytes() == _expm_allocating(M).tobytes()
+
+    def test_zero_and_views_match_allocating_loop_bytes(self, rng):
+        Z = np.zeros((5, 5), dtype=complex)
+        assert expm(Z).tobytes() == _expm_allocating(Z).tobytes()
+        big = with_signed_zeros(rng, rng.standard_normal((12, 12))
+                                + 1j * rng.standard_normal((12, 12)))
+        for M in (big[::2, ::2], big[::-2, ::2].T, np.asfortranarray(big)):
+            M = 3.0 * M
+            assert expm(M).tobytes() == _expm_allocating(M).tobytes()
+
+    def test_unscalable_norm_raises(self, rng):
+        M = _with_norm1(rng.standard_normal((3, 3)) + 0j, 1e25)
+        with pytest.raises(ExpmScaleError, match="too large to scale"):
+            expm(M)
+
+    def test_memory_budget(self, rng):
+        # the identity, the accumulator and one product buffer, plus an
+        # allowance for the array headers (LAPACK and BLAS workspace is
+        # invisible to tracemalloc)
+        n = BUDGET_DIM * BUDGET_DIM
+        M = _with_norm1(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)), 40.0)
+        assert traced_peak(expm, M) <= 3 * superop_bytes(BUDGET_DIM) + 4096
 
 
 class TestVectorization:
@@ -181,6 +253,20 @@ class TestIsPsd:
         res = is_psd(np.diag([1.0, -1e-3]))
         assert not res.ok
         assert abs(res.min_eig + 1e-3) < 1e-15
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 40])
+    def test_min_eig_matches_hermitize_bytes(self, d, rng):
+        M = with_signed_zeros(rng, rng.standard_normal((d, d))
+                              + 1j * rng.standard_normal((d, d)))
+        ref = np.linalg.eigvalsh(hermitize(M))[0]
+        assert np.float64(is_psd(M).min_eig).tobytes() == ref.tobytes()
+
+    def test_memory_budget(self, rng):
+        # one Hermitian copy (LAPACK and BLAS workspace is invisible to
+        # tracemalloc)
+        n = BUDGET_DIM * BUDGET_DIM
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert traced_peak(is_psd, M) <= 1.1 * superop_bytes(BUDGET_DIM)
 
 
 class TestTracePairingAdjoint:
