@@ -480,6 +480,9 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError([("--seed", "seed must be nonnegative, "
                                 f"got {args.seed}")])
+        if args.threads < 1:
+            raise ConfigError([("--threads", "threads must be at least 1, "
+                                f"got {args.threads}")])
         cfg = parse_config(args.config)
     except ConfigError as exc:
         for fld, msg in exc.issues:
@@ -492,7 +495,7 @@ def main(argv=None) -> int:
         cfg.seed = args.seed
 
     try:
-        report = run_config(cfg, threads=max(1, args.threads))
+        report = run_config(cfg, threads=args.threads)
     except ExpmScaleError as exc:  # needs ||G||, so validate cannot see it
         fld = "[time].tau_bar" if cfg.time_mode == "auto" else "[time].stop"
         print(f"config error: {fld}: t ||G|| too large for the propagator "

@@ -119,6 +119,20 @@ class GeneratorBundle:
         return cls(decomposition=dec, heisenberg=heis, schedule=sched,
                    subsystem=sub, T=T)
 
+    @classmethod
+    def at_coupling(cls, sched: CoarseGrainSchedule, sub: PhysicalSubsystem,
+                    T: float, h_free: np.ndarray, h_first: np.ndarray,
+                    shift: np.ndarray, decay: np.ndarray,
+                    jump: np.ndarray) -> "GeneratorBundle":
+        """:meth:`from_decomposition` of h_free, h_first (already scaled
+        by lam) and lam^2 times the second-order pieces.  ``jump`` is
+        scaled in place, so no unscaled copy stays alive next to it."""
+        lam2 = sched.lam * sched.lam
+        dec = LindbladDecomposition(
+            h_free=h_free, h_first=h_first, h_lamb=lam2 * shift,
+            decay=lam2 * decay, jump_map=np.multiply(jump, lam2, out=jump))
+        return cls.from_decomposition(dec, sched, sub, T)
+
     @property
     def dim(self) -> int:
         return self.subsystem.dim
@@ -154,9 +168,9 @@ def lindblad_superop(hamiltonian: np.ndarray, decay: np.ndarray,
                      jump: np.ndarray) -> np.ndarray:
     """Heisenberg superoperator X -> i[H, X] - (1/2){decay, X} + jump(X).
 
-    The value is 1j * commutator_superop(H)
-    - 0.5 * anticommutator_superop(decay) + jump, written one row block
-    at a time into the output, so no d^2 x d^2 temporary is formed.
+    The value is 1j * (kron(1, H) - kron(H^T, 1))
+    - 0.5 * (kron(1, decay) + kron(decay^T, 1)) + jump, written one row
+    block at a time into the output, so no d^2 x d^2 temporary is formed.
     kron(X, Y)[i d + k, j d + l] = X[i, j] * Y[k, l], so row block i of
     kron(X, Y) is X[i, j] * Y[k, l] over (k, j, l): the same elementwise
     products np.kron forms, combined in the same order, hence the same
@@ -285,20 +299,13 @@ class PreparedGenerator:
     def _bundle(self, sched: CoarseGrainSchedule):
         """(bundle, L0, shift): the bundle together with the unscaled L0
         and Lamb-shift Hamiltonian of K_T it was assembled from."""
-        lam = sched.lam
         T = T_of_lambda(sched)
         L0, shift, decay, jump = _kt_pieces(self.subsystem, self.h0_eig,
                                             self.Hp, T)
-        lam2 = lam * lam
-        dec = LindbladDecomposition(
-            h_free=self.h_free,
-            h_first=lam * self.h_first,
-            h_lamb=lam2 * shift,
-            decay=lam2 * decay,
-            jump_map=lam2 * jump,
-        )
-        return (GeneratorBundle.from_decomposition(dec, sched, self.subsystem, T),
-                L0, shift)
+        bundle = GeneratorBundle.at_coupling(
+            sched, self.subsystem, T, self.h_free, sched.lam * self.h_first,
+            shift, decay, jump)
+        return bundle, L0, shift
 
 
 def build_generator(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
@@ -307,8 +314,11 @@ def build_generator(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
     return PreparedGenerator(sub, H0, Hp).bundle(sched)
 
 
+K_T_ORACLE_POINTS = 1601
+
+
 def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
-               T: float, n_points: int = 1601) -> np.ndarray:
+               T: float) -> np.ndarray:
     """Brute-force K_T by double time quadrature of the defining
     ordered integral
 
@@ -332,7 +342,7 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
     carried as the column stack P1 i ad_{H'(t)} L and the row stack
     R i ad_{H'(t)} P1 (P1 = 1 - P0, ad applied as operator commutators),
     and the result is L (inner r x r integral) R.  With r = rank P0 and
-    n = n_points this costs O(n d^4 r) time and O(n d^2 r) memory.
+    n = 1601 points this costs O(n d^4 r) time and O(n d^2 r) memory.
 
     Returns the superoperator on the subsystem image (it annihilates
     the complement by construction).  Desk-scale only: dims above 12
@@ -365,7 +375,7 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
         raise ValueError(
             f"oracle factorization P0 = L R failed: residual {resid:.3e}")
 
-    ts = np.linspace(-8.0 * T, 8.0 * T, n_points)
+    ts = np.linspace(-8.0 * T, 8.0 * T, K_T_ORACLE_POINTS)
     h = ts[1] - ts[0]
     weights = np.exp(-ts ** 2 / (2.0 * T * T))
 
@@ -379,15 +389,15 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
     Xt = L.T.reshape(rank, d, d)
     Yt = R.reshape(rank, d, d)
     cols = (1j * (Xt[None] @ Hp_tT[:, None] - Hp_tT[:, None] @ Xt[None])
-            ).reshape(n_points, rank, dd)
+            ).reshape(K_T_ORACLE_POINTS, rank, dd)
     F10 = weights[:, None, None] * (P1 @ cols.transpose(0, 2, 1))
     rows = (1j * (Yt[None] @ Hp_t[:, None] - Hp_t[:, None] @ Yt[None])
-            ).reshape(n_points, rank, dd) @ P1
+            ).reshape(K_T_ORACLE_POINTS, rank, dd) @ P1
 
     cum = cumulative_simpson(F10.real, dx=h, axis=0, initial=0) \
         + 1j * cumulative_simpson(F10.imag, dx=h, axis=0, initial=0)
 
-    coeff = np.full(n_points, h)
+    coeff = np.full(K_T_ORACLE_POINTS, h)
     coeff[[0, -1]] = 0.5 * h
     inner = np.sum((coeff * weights)[:, None, None] * (rows @ cum), axis=0)
     return (L @ inner @ R) / (np.sqrt(np.pi) * T)

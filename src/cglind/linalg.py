@@ -37,8 +37,6 @@ __all__ = [
     "vectorize",
     "devectorize",
     "sandwich_superop",
-    "commutator_superop",
-    "anticommutator_superop",
     "trace_pairing_adjoint",
     "choi_matrix",
     "is_psd",
@@ -203,20 +201,6 @@ def sandwich_superop(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"incompatible sandwich dimensions {A.shape} and {B.shape}")
     return np.kron(B.T, A)
-
-
-def commutator_superop(H: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> H X - X H."""
-    H = require_square(H, "commutator generator")
-    eye = np.eye(H.shape[0], dtype=complex)
-    return np.kron(eye, H) - np.kron(H.T, eye)
-
-
-def anticommutator_superop(A: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> A X + X A."""
-    A = require_square(A, "anticommutator generator")
-    eye = np.eye(A.shape[0], dtype=complex)
-    return np.kron(eye, A) + np.kron(A.T, eye)
 
 
 def trace_pairing_adjoint(M: np.ndarray) -> np.ndarray:

@@ -31,11 +31,9 @@ import numpy as np
 
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda, coarse_grained_L, \
     pv_shift_eigenbasis
-from .generator import GeneratorBundle, LindbladDecomposition, \
-    PreparedGenerator, SteadyStateResult, build_generator, steady_state
+from .generator import GeneratorBundle, PreparedGenerator, \
+    SteadyStateResult, build_generator, steady_state
 from .linalg import (
-    anticommutator_superop,
-    commutator_superop,
     devectorize,
     expm,
     hermitian_eig,
@@ -113,14 +111,12 @@ class QfgrModel:
 
 @dataclass
 class QfgrGenerator:
-    """Sector equations at one coupling: scattering amplitudes between
-    sectors, per-sector second-order Hamiltonian corrections, and the
-    residual against the general bundle built from the same K_T."""
+    """Sector equations at one coupling: the scattering amplitudes
+    between sectors, the sector bundle assembled from them, the general
+    bundle built from the same K_T, and the residual between the two."""
 
     amplitudes: Dict[Tuple[int, int], np.ndarray]
-    shifts: List[np.ndarray]
-    effective_hamiltonian: np.ndarray
-    schrodinger: np.ndarray
+    sector: GeneratorBundle
     bundle: GeneratorBundle
     residual_vs_general: float
 
@@ -146,41 +142,32 @@ class PreparedQfgr(PreparedGenerator):
         indexing sometimes written for it annihilates every
         block-diagonal state and cannot reproduce the general
         construction.  L and the Lamb shift are the ones the general
-        bundle is assembled from, so K_T is evaluated once.  The
-        assembled superoperator is compared with the general generator
-        restricted to block-diagonal states; the max-entry residual is
-        returned, not judged (a run fails a coupling above 1e-8).
+        bundle is assembled from, so K_T is evaluated once.  The sector
+        equations are assembled like the heat-bath line sum.  Rates and
+        jumps come from the same D, so a broken Psi(1) = A is a code
+        fault and raises, as on the general path; a fault that keeps the
+        Lindblad form shows in the residual max|P0 (G_sector - P0 G P0)|,
+        the trace-pairing dual of the mismatch on block-diagonal states,
+        which is returned, not judged (a run fails a coupling above 1e-8).
         """
-        sub, H0, Hp = self.subsystem, self.H0, self.Hp
+        sub = self.subsystem
         projs = sub.kraus.operators
-        lam = sched.lam
-        lam2 = lam * lam
-        bundle, L, shift_add = self._bundle(sched)
+        bundle, L, shift = self._bundle(sched)
 
-        n_sec = len(projs)
-        amplitudes = {}
-        for src in range(n_sec):
-            for dst in range(n_sec):
-                if src != dst:
-                    amplitudes[(src, dst)] = projs[dst] @ L @ projs[src]
-
-        shifts = [P @ shift_add @ P for P in projs]
-
-        h_eff = sub.project(H0) + lam * sub.project(Hp) + lam2 * shift_add
-        h_eff = hermitize(h_eff)
-        d = sub.dim
-        rate_sum = np.zeros((d, d), dtype=complex)
-        for (src, dst), D in amplitudes.items():
-            rate_sum += D.conj().T @ D
-
-        S = -1j * commutator_superop(h_eff) \
-            - 0.5 * lam2 * anticommutator_superop(rate_sum)
+        amplitudes = {(src, dst): P_dst @ L @ P_src
+                      for src, P_src in enumerate(projs)
+                      for dst, P_dst in enumerate(projs) if src != dst}
+        decay = np.zeros_like(L)
+        jump = np.zeros((L.size, L.size), dtype=complex)
         for D in amplitudes.values():
-            S += lam2 * np.kron(D.conj(), D)
-
-        residual = max_abs((S - bundle.quotient_schrodinger) @ sub.schrodinger)
-        return QfgrGenerator(amplitudes=amplitudes, shifts=shifts,
-                             effective_hamiltonian=h_eff, schrodinger=S,
+            decay += D.conj().T @ D
+            jump += sandwich_superop(D.conj().T, D)
+        sector = GeneratorBundle.at_coupling(
+            sched, sub, bundle.T, self.h_free, sched.lam * self.h_first,
+            shift, decay, jump)
+        P = sub.heisenberg
+        residual = max_abs(P @ (sector.heisenberg - P @ bundle.heisenberg @ P))
+        return QfgrGenerator(amplitudes=amplitudes, sector=sector,
                              bundle=bundle, residual_vs_general=residual)
 
 
@@ -396,8 +383,6 @@ class PreparedHeatBath:
         line frequency.  First-order term: i * mean * [Q, .].
         """
         m, corr, eigA = self.model, self.corr, self.eigA
-        lam = sched.lam
-        lam2 = lam * lam
         T = T_of_lambda(sched)
         U, eps = eigA.vectors, eigA.values
         dA = m.dim_A
@@ -415,17 +400,10 @@ class PreparedHeatBath:
             S_pre = pv_shift_eigenbasis(eps, self.Q_eig, T, wk)
             shift_pos += ck * (U @ S_pre @ U.conj().T)
 
-        decay = hermitize(decay)
-        shift_add = -hermitize(shift_pos)
-
-        dec = LindbladDecomposition(
-            h_free=m.H_A.astype(complex),
-            h_first=lam * corr.mean * m.Q,
-            h_lamb=lam2 * shift_add,
-            decay=lam2 * decay,
-            jump_map=lam2 * jump,
-        )
-        return GeneratorBundle.from_decomposition(dec, sched, self.subsystem, T)
+        return GeneratorBundle.at_coupling(
+            sched, self.subsystem, T, m.H_A.astype(complex),
+            sched.lam * corr.mean * m.Q, -hermitize(shift_pos),
+            hermitize(decay), jump)
 
 
 def heat_bath_generator(m: HeatBathModel) -> GeneratorBundle:

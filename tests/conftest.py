@@ -4,6 +4,25 @@ import numpy as np
 import pytest
 
 
+def kron_commutator(H):
+    """Reference superoperator of X -> H X - X H, from np.kron."""
+    eye = np.eye(H.shape[0], dtype=complex)
+    return np.kron(eye, H) - np.kron(H.T, eye)
+
+
+def scale_sector_amplitudes(monkeypatch, factor):
+    """Hand the sector equations factor * L0 while the general bundle
+    keeps its own: a fault that keeps the Lindblad form of the sector
+    generator (rates and jumps both scale by factor^2)."""
+    from cglind import scenarios
+    original = scenarios.PreparedQfgr._bundle
+
+    def faulty(self, sched):
+        bundle, L0, shift = original(self, sched)
+        return bundle, factor * L0, shift
+    monkeypatch.setattr(scenarios.PreparedQfgr, "_bundle", faulty)
+
+
 def random_hermitian(rng, d, scale=1.0):
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return scale * 0.5 * (G + G.conj().T)

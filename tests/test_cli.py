@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from conftest import scale_sector_amplitudes
 from cglind import cli, generator, scenarios, subsystem
 from cglind.cli import main, parse_config, ConfigError
 
@@ -263,6 +264,18 @@ class TestValidate:
         assert "config error: --seed: " in capsys.readouterr().err
         assert not out.exists()
 
+    # Each worker is a real thread, so only values below 1 are tested.
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, command,
+                                      threads):
+        cfg = write_config(tmp_path, BASE_QFGR)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "--threads", threads, command,
+                     cfg]) == 2
+        assert "config error: --threads: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_config_collects_issues(self, tmp_path):
         cfg = write_config(tmp_path, BASE_QFGR
                            .replace("xi = 1.0", "xi = 2.5")
@@ -407,11 +420,9 @@ class TestRun:
         assert json.loads((out / "out.json").read_text())["passed"] is False
 
     def test_sector_mismatch_is_recorded(self, tmp_path, monkeypatch, capsys):
-        # A doubled decay term in the sector assembly only: the general
-        # bundle, which every other check reads, is unchanged.
-        original = scenarios.anticommutator_superop
-        monkeypatch.setattr(scenarios, "anticommutator_superop",
-                            lambda A: 2.0 * original(A))
+        # sqrt(2) L0 in the sector equations only: the general bundle,
+        # which every other check reads, is unchanged.
+        scale_sector_amplitudes(monkeypatch, 2.0 ** 0.5)
         cfg = write_config(tmp_path, BASE_QFGR)
         out = tmp_path / "out"
         assert main(["--out-dir", str(out), "run", cfg]) == 1

@@ -6,6 +6,7 @@ from scipy.integrate import cumulative_simpson
 
 from conftest import (
     BUDGET_DIM,
+    kron_commutator,
     random_density,
     random_hermitian,
     superop_bytes,
@@ -28,7 +29,6 @@ from cglind.generator import (
 )
 from cglind.linalg import (
     choi_matrix,
-    commutator_superop,
     devectorize,
     expm,
     hermitian_eig,
@@ -47,7 +47,7 @@ from cglind.subsystem import (
     sector_family,
     trivial_family,
 )
-from cglind.scenarios import gibbs_state, qfgr_two_block_model
+from cglind.scenarios import PRESETS, gibbs_state, qfgr_two_block_model
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -130,7 +130,7 @@ class TestBuildGenerator:
         assert max_abs(dec.decay) < 1e-12
         assert max_abs(dec.jump_map) < 1e-12
         assert max_abs(dec.h_lamb) < 1e-12
-        expected = 1j * commutator_superop(dec.h_free + dec.h_first)
+        expected = 1j * kron_commutator(dec.h_free + dec.h_first)
         np.testing.assert_allclose(bundle.heisenberg, expected, atol=1e-12)
 
     def test_commutation_precondition_enforced(self):
@@ -159,7 +159,7 @@ class TestBuildGenerator:
         H0 = random_hermitian(rng, d)
         P = rng.standard_normal((d * d, d * d)) \
             + 1j * rng.standard_normal((d * d, d * d))
-        Z = 1j * commutator_superop(H0)
+        Z = 1j * kron_commutator(H0)
         dense = max_abs(Z @ P - P @ Z)
         assert abs(_covariance_defect(H0, P) - dense) <= 1e-12 * dense
 
@@ -170,6 +170,28 @@ class TestBuildGenerator:
         assert max_abs(bundle.heisenberg @ eye_vec) < 1e-10
         psi_one = devectorize(bundle.decomposition.jump_map @ eye_vec, d)
         assert max_abs(psi_one - bundle.decomposition.decay) < 1e-10
+
+    @pytest.mark.parametrize("name", ["two-sector-qubit", "qfgr-two-blocks",
+                                      "heat-bath-qutrit", "qubit-gibbs"])
+    def test_jump_scaled_in_place_keeps_bytes(self, name):
+        # the bundle scales its jump map in place: the bits of lam^2 * jump
+        m = PRESETS[name].builder()
+        if PRESETS[name].kind == "qfgr":
+            sub = build_projection(sector_family(m.sector_dims))
+            H0, Hp = m.H0, m.Hp
+        else:
+            sub = build_projection(partial_trace_family(m.dim_A,
+                                                        m.bath_state()))
+            H0, Hp = m.full_hamiltonian_parts()
+        prepared = generator_module.PreparedGenerator(sub, H0, Hp)
+        bundle = prepared.bundle(m.schedule)
+        _, shift, decay, jump = generator_module._kt_pieces(
+            sub, prepared.h0_eig, prepared.Hp, bundle.T)
+        lam2 = m.schedule.lam ** 2
+        dec = bundle.decomposition
+        assert dec.jump_map.tobytes() == (lam2 * jump).tobytes()
+        assert bundle.heisenberg.tobytes() == lindblad_superop(
+            dec.effective_hamiltonian(), lam2 * decay, lam2 * jump).tobytes()
 
     def test_jump_map_completely_positive(self):
         bundle = dephasing_bundle()
@@ -234,7 +256,7 @@ def _k_t_oracle_loop(sub, H0, Hp, T, n_points=1601, half_width=8.0):
     F10 = np.empty((n_points, dd, dd), dtype=complex)
     for k, t in enumerate(ts):
         Hp_t = U @ (np.exp(-1j * delta * t) * Hp_eig) @ U.conj().T
-        comm = 1j * commutator_superop(Hp_t)
+        comm = 1j * kron_commutator(Hp_t)
         M01[k] = P0 @ comm @ P1
         F10[k] = weights[k] * (P1 @ comm @ P0)
     cum = cumulative_simpson(F10.real, dx=h, axis=0, initial=0) \

@@ -11,13 +11,12 @@ from conftest import (
     traced_peak,
     with_signed_zeros,
 )
+from cglind.generator import lindblad_superop
 from cglind.linalg import (
     EXPM_SCALE_TARGET,
     EXPM_TAYLOR_ORDER,
     ExpmScaleError,
-    anticommutator_superop,
     choi_matrix,
-    commutator_superop,
     devectorize,
     expm,
     hermitian_eig,
@@ -175,14 +174,16 @@ class TestVectorization:
         np.testing.assert_allclose(out, -SZ, atol=1e-14)
 
     def test_commutator_superops(self, rng):
-        H = random_hermitian(rng, 3)
+        # the Lindblad assembly with zero pieces: i[H, X] and -1/2 {A, X}
+        H, A = random_hermitian(rng, 3), random_hermitian(rng, 3)
         X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        zero, zero_map = np.zeros((3, 3)), np.zeros((9, 9))
         np.testing.assert_allclose(
-            devectorize(commutator_superop(H) @ vectorize(X)), H @ X - X @ H,
-            atol=1e-12)
+            devectorize(lindblad_superop(H, zero, zero_map) @ vectorize(X)),
+            1j * (H @ X - X @ H), atol=1e-12)
         np.testing.assert_allclose(
-            devectorize(anticommutator_superop(H) @ vectorize(X)),
-            H @ X + X @ H, atol=1e-12)
+            devectorize(lindblad_superop(zero, A, zero_map) @ vectorize(X)),
+            -0.5 * (A @ X + X @ A), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="incompatible"):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import kron_commutator, random_density, scale_sector_amplitudes
 from cglind import scenarios
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
 from cglind.generator import expm, qds_certificate, steady_state
 from cglind.linalg import (
-    commutator_superop,
     devectorize,
     max_abs,
     trace_distance,
@@ -58,11 +57,18 @@ class TestQfgrGenerator:
         assert gen.residual_vs_general <= 1e-8
 
     def test_mismatch_is_returned_not_raised(self, monkeypatch):
-        original = scenarios.anticommutator_superop
-        monkeypatch.setattr(scenarios, "anticommutator_superop",
-                            lambda A: 2.0 * original(A))
+        scale_sector_amplitudes(monkeypatch, np.sqrt(2.0))
         gen = qfgr_generator(two_sector_qubit_model())
         assert gen.residual_vs_general > 1e-8
+
+    def test_broken_jump_normalization_raises(self, monkeypatch):
+        # a sector-only fault that breaks Psi(1) = A is rejected by the
+        # assembly, as on the general path
+        original = scenarios.sandwich_superop
+        monkeypatch.setattr(scenarios, "sandwich_superop",
+                            lambda A, B: 2.0 * original(A, B))
+        with pytest.raises(ValueError, match=r"Psi\(1\) = A"):
+            qfgr_generator(qfgr_two_block_model())
 
     def test_blockdiagonal_perturbation_gives_unitary_sectors(self):
         Hp = np.diag([0.3, -0.2]).astype(complex)
@@ -71,8 +77,10 @@ class TestQfgrGenerator:
         gen = qfgr_generator(m)
         for D in gen.amplitudes.values():
             assert max_abs(D) < 1e-14
-        expected = -1j * commutator_superop(gen.effective_hamiltonian)
-        np.testing.assert_allclose(gen.schrodinger, expected, atol=1e-12)
+        h_eff = gen.sector.decomposition.effective_hamiltonian()
+        expected = -1j * kron_commutator(h_eff)
+        np.testing.assert_allclose(gen.sector.schrodinger, expected,
+                                   atol=1e-12)
 
     def test_two_level_rate_formula(self):
         # population transfer rate lam^2 2 sqrt(pi) T e^{-T^2 gap^2} |Hp01|^2
@@ -84,8 +92,8 @@ class TestQfgrGenerator:
         rate = lam ** 2 * 2.0 * np.sqrt(np.pi) * T * np.exp(-(T * gap) ** 2) \
             * abs(m.Hp[0, 1]) ** 2
         # vec index of (1,1) entry is 3; of (0,0) is 0
-        assert gen.schrodinger[3, 0] == pytest.approx(rate, rel=1e-12)
-        assert gen.schrodinger[0, 0] == pytest.approx(-rate, rel=1e-12)
+        assert gen.sector.schrodinger[3, 0] == pytest.approx(rate, rel=1e-12)
+        assert gen.sector.schrodinger[0, 0] == pytest.approx(-rate, rel=1e-12)
 
     def test_trace_conservation_and_sector_positivity(self):
         m = three_sector_model()
@@ -93,7 +101,8 @@ class TestQfgrGenerator:
         projs = sector_family(m.sector_dims).operators
         rho0 = np.diag([0.55, 0.25, 0.15, 0.05]).astype(complex)
         for t in (0.5, 2.0, 8.0):
-            rho_t = devectorize(expm(t * gen.schrodinger) @ vectorize(rho0))
+            rho_t = devectorize(expm(t * gen.sector.schrodinger)
+                                @ vectorize(rho0))
             assert abs(np.trace(rho_t).real - 1.0) < 1e-9
             for P in projs:
                 block = P @ rho_t @ P
@@ -105,7 +114,7 @@ class TestQfgrGenerator:
         gen = qfgr_generator(m)
         sub = gen.bundle.subsystem
         quotient = sub.schrodinger @ gen.bundle.schrodinger @ sub.schrodinger
-        for gen_matrix in (gen.schrodinger, quotient):
+        for gen_matrix in (gen.sector.schrodinger, quotient):
             rho = sub.project_state(random_density(rng, 4))
             out = devectorize(gen_matrix @ vectorize(rho))
             assert max_abs(out - sub.project_state(out)) < 1e-10
@@ -113,9 +122,9 @@ class TestQfgrGenerator:
     def test_shifts_are_hermitian_blocks(self):
         gen = qfgr_generator(qfgr_two_block_model())
         projs = sector_family([2, 2]).operators
-        for P, H in zip(projs, gen.shifts):
-            assert max_abs(H - H.conj().T) < 1e-12
-            assert max_abs(H - P @ H @ P) < 1e-12
+        H = gen.sector.decomposition.h_lamb
+        assert max_abs(H - H.conj().T) < 1e-12
+        assert max_abs(H - sum(P @ H @ P for P in projs)) < 1e-12
 
 
 class TestFgrRateCheck:
@@ -200,7 +209,7 @@ class TestHeatBathGenerator:
         assert max_abs(dec.decay) < 1e-14
         assert max_abs(dec.jump_map) < 1e-14
         assert max_abs(dec.h_lamb) < 1e-14
-        expected = 1j * commutator_superop(m.H_A + m.schedule.lam * m.Q)
+        expected = 1j * kron_commutator(m.H_A + m.schedule.lam * m.Q)
         np.testing.assert_allclose(bundle.heisenberg, expected, atol=1e-12)
 
     def test_dual_path_agreement(self):
