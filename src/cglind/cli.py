@@ -237,6 +237,10 @@ def parse_config(path: str) -> ScenarioConfig:
                    required=(time_mode == "auto"))
     if t_count is not None and t_count < 1:
         issues.append(("[time].count", f"count must be >= 1, got {t_count}"))
+    for key, value in (("start", t_start), ("stop", t_stop)):
+        if time_mode == "explicit" and value is not None and value < 0:
+            issues.append((f"[time].{key}", f"{key} must be >= 0 (the "
+                           f"semigroup runs forward in time), got {value}"))
     if time_mode == "auto" and tau_bar is not None and tau_bar <= 0:
         issues.append(("[time].tau_bar", f"tau_bar must be positive, got {tau_bar}"))
     elif time_mode == "auto" and tau_bar is not None:

@@ -149,12 +149,12 @@ class GeneratorBundle:
         P = self.subsystem.schrodinger
         return P @ self.schrodinger @ P
 
-    def restricted_heisenberg(self):
-        """(k x k matrix, basis) of the generator on an orthonormal basis
-        of the observable image.  No re-projection is needed: the
+    def restricted_heisenberg(self) -> np.ndarray:
+        """k x k matrix of the generator on the basis image_bases[0] of
+        the observable image.  No re-projection is needed: the
         Heisenberg generator maps the image into itself exactly."""
         B = self.subsystem.image_bases[0]
-        return B.conj().T @ self.heisenberg @ B, B
+        return B.conj().T @ self.heisenberg @ B
 
     def restricted_schrodinger(self):
         """(k x k matrix, basis) of the quotient Schrödinger generator on
@@ -409,7 +409,6 @@ class Trajectory:
     states: list
     trace_dev: np.ndarray
     min_eig: np.ndarray
-    flags: list
 
     @property
     def max_trace_dev(self) -> float:
@@ -425,13 +424,13 @@ def evolve(bundle: GeneratorBundle, state0: np.ndarray,
     """Propagate a density matrix in the predual image along the
     image-restricted (quotient) Schrödinger generator, so trajectories
     stay representable on the subsystem.  Trace deviation and the
-    minimum eigenvalue are recorded at every sampled time.  Negative
-    times are evaluable but flagged.
+    minimum eigenvalue are recorded at every sampled time.  The
+    generator defines a semigroup, so a negative time raises ValueError.
     """
     times = np.asarray(list(times), dtype=float)
-    flags = []
     if np.any(times < 0):
-        flags.append("negative times requested; semigroup formula evaluated anyway")
+        raise ValueError(f"negative time {times.min()!r}: the semigroup "
+                         "exp(tG) is defined for t >= 0 only")
     d = bundle.dim
     state0 = require_hermitian(state0, "initial state", rtol=1e-10)
     if abs(np.trace(state0).real - 1.0) > 1e-9:
@@ -449,8 +448,7 @@ def evolve(bundle: GeneratorBundle, state0: np.ndarray,
                     + abs(np.trace(X).imag))
         mineig.append(float(np.linalg.eigvalsh(hermitize(X))[0]))
     return Trajectory(times=times, states=states,
-                      trace_dev=np.array(tdev), min_eig=np.array(mineig),
-                      flags=flags)
+                      trace_dev=np.array(tdev), min_eig=np.array(mineig))
 
 
 @dataclass
@@ -462,7 +460,6 @@ class QdsCertificate:
     restricted_heis_norm: np.ndarray
     semigroup_dev: float
     trace_norm_growth: float
-    choi_slack: float
     passed: bool
 
 
@@ -481,13 +478,12 @@ def qds_certificate(bundle: GeneratorBundle,
     propagator is reported (not asserted; it is a Hilbert-Schmidt
     proxy, not the algebra norm).
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     times = np.asarray(list(time_samples), dtype=float)
     d = bundle.dim
     eye_vec = vectorize(np.eye(d))
 
-    g_restricted, _ = bundle.restricted_heisenberg()
+    g_restricted = bundle.restricted_heisenberg()
     quotient = bundle.quotient_schrodinger
 
     schr_props = {}
@@ -535,7 +531,6 @@ def qds_certificate(bundle: GeneratorBundle,
                           restricted_heis_norm=np.array(rnorm),
                           semigroup_dev=semi_dev,
                           trace_norm_growth=growth,
-                          choi_slack=PSD_SLACK,
                           passed=passed)
 
 
@@ -548,8 +543,10 @@ class SteadyStateResult:
     note: str = ""
 
 
-def steady_state(bundle: GeneratorBundle,
-                 gap_tol: float = 1e-6) -> SteadyStateResult:
+STEADY_STATE_GAP_TOL = 1e-6
+
+
+def steady_state(bundle: GeneratorBundle) -> SteadyStateResult:
     """Nullspace of the image-restricted Schrödinger generator (singular
     values below 1e-9 times the largest count as zero), intersected with
     trace-one Hermitian PSD operators.
@@ -557,7 +554,8 @@ def steady_state(bundle: GeneratorBundle,
     Reports the nullspace dimension; when it is one, the unique state
     is returned trace-normalized.  An ambiguous singular-value gap or a
     multi-dimensional nullspace is flagged rather than resolved, with the
-    cause in ``note`` (for a small gap: the gap, gap_tol, their distance).
+    cause in ``note`` (for a gap below STEADY_STATE_GAP_TOL: the gap,
+    the tolerance and their distance).
     """
     s, B = bundle.restricted_schrodinger()
     _, svals, vh = np.linalg.svd(s)
@@ -565,6 +563,7 @@ def steady_state(bundle: GeneratorBundle,
     if dim_null == 0:
         return SteadyStateResult(None, 0, 0.0, True,
                                  note="no nullspace found at tolerance")
+    gap_tol = STEADY_STATE_GAP_TOL
     flagged = gap < gap_tol or dim_null > 1
     if dim_null > 1:
         return SteadyStateResult(None, dim_null, gap, True,

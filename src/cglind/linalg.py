@@ -183,11 +183,9 @@ def vectorize(X: np.ndarray) -> np.ndarray:
     return np.asarray(X, dtype=complex).flatten(order="F")
 
 
-def devectorize(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
+def devectorize(v: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vectorize` for ``dim x dim`` matrices."""
     v = np.asarray(v, dtype=complex).ravel()
-    if dim is None:
-        dim = math.isqrt(v.size)
     if dim * dim != v.size:
         raise ValueError(f"vector of length {v.size} is not a square matrix")
     return v.reshape((dim, dim), order="F")

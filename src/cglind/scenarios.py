@@ -482,6 +482,9 @@ def gibbs_limit_study(m: HeatBathModel,
 # Weak-coupling error sweep
 # ---------------------------------------------------------------------------
 
+SWEEP_TIME_POINTS = 41
+
+
 @dataclass
 class SweepRow:
     lam: float
@@ -506,7 +509,7 @@ def projected_error_curve(bundle: GeneratorBundle, H0: np.ndarray,
     B = sub.image_bases[0]
     k = B.shape[1]
     Bmats = [devectorize(B[:, j], d) for j in range(k)]
-    g, _ = bundle.restricted_heisenberg()
+    g = bundle.restricted_heisenberg()
 
     evals, evecs = np.linalg.eigh(H0 + lam * Hp)
     errors = np.empty(len(list(times)))
@@ -522,9 +525,10 @@ def projected_error_curve(bundle: GeneratorBundle, H0: np.ndarray,
 
 def weak_coupling_sweep(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
                         schedules: Sequence[CoarseGrainSchedule],
-                        tau_bar: float, n_times: int = 41) -> SweepResult:
+                        tau_bar: float) -> SweepResult:
     """Error table of the semigroup approximation over the rescaled
-    window [0, tau_bar / lam^2] for each schedule.
+    window [0, tau_bar / lam^2], at SWEEP_TIME_POINTS equally spaced
+    times, for each schedule.
 
     The table is recorded, not asserted against: a fixed discrete model
     cannot satisfy the integrability hypotheses a genuine weak-coupling
@@ -533,14 +537,14 @@ def weak_coupling_sweep(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
     """
     if sub.dim > 32:
         raise ValueError(f"sweep needs full-space dim <= 32, got {sub.dim}")
-    if n_times < 2 or tau_bar <= 0:
-        raise ValueError("need tau_bar > 0 and at least two time points")
+    if tau_bar <= 0:
+        raise ValueError("need tau_bar > 0")
     prepared = PreparedGenerator(sub, H0, Hp)
     rows: List[SweepRow] = []
     sups: Dict[float, float] = {}
     for sched in schedules:
         lam = sched.lam
-        times = np.linspace(0.0, tau_bar / (lam * lam), n_times)
+        times = np.linspace(0.0, tau_bar / (lam * lam), SWEEP_TIME_POINTS)
         errs = projected_error_curve(prepared.bundle(sched), H0, Hp, times)
         for t, e in zip(times, errs):
             rows.append(SweepRow(lam=lam, t=float(t), error=float(e)))
@@ -552,18 +556,18 @@ def weak_coupling_sweep(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
 # Frozen model presets
 # ---------------------------------------------------------------------------
 
-def two_sector_qubit_model(lam: float = 0.5) -> QfgrModel:
+def two_sector_qubit_model() -> QfgrModel:
     """Two one-dimensional sectors; populations follow a classical
     two-state rate equation."""
     return QfgrModel(
         sector_dims=[1, 1],
         H0=np.diag([0.3, -0.5]).astype(complex),
         Hp=np.array([[0.2, 0.7], [0.7, -0.1]], dtype=complex),
-        schedule=CoarseGrainSchedule(lam=lam, xi=1.0, T_ref=1.2),
+        schedule=CoarseGrainSchedule(lam=0.5, xi=1.0, T_ref=1.2),
     )
 
 
-def qfgr_two_block_model(lam: float = 0.35) -> QfgrModel:
+def qfgr_two_block_model() -> QfgrModel:
     """Two two-dimensional sectors with a fixed dense perturbation."""
     Hp = np.array([
         [0.10, 0.45 + 0.20j, 0.00, 0.65 - 0.10j],
@@ -575,11 +579,11 @@ def qfgr_two_block_model(lam: float = 0.35) -> QfgrModel:
         sector_dims=[2, 2],
         H0=np.diag([0.0, 0.25, 0.8, 1.05]).astype(complex),
         Hp=Hp,
-        schedule=CoarseGrainSchedule(lam=lam, xi=0.8, T_ref=0.9),
+        schedule=CoarseGrainSchedule(lam=0.35, xi=0.8, T_ref=0.9),
     )
 
 
-def heat_bath_qutrit_model(lam: float = 0.45) -> HeatBathModel:
+def heat_bath_qutrit_model() -> HeatBathModel:
     """Qubit system, three-level bath, generic couplings."""
     return HeatBathModel(
         H_A=np.array([[0.7, 0.15], [0.15, -0.7]], dtype=complex),
@@ -589,11 +593,11 @@ def heat_bath_qutrit_model(lam: float = 0.45) -> HeatBathModel:
                       [0.8, 0.1, 0.7],
                       [0.2, 0.7, -0.1]], dtype=complex),
         beta=1.0,
-        schedule=CoarseGrainSchedule(lam=lam, xi=1.0, T_ref=1.0),
+        schedule=CoarseGrainSchedule(lam=0.45, xi=1.0, T_ref=1.0),
     )
 
 
-def reference_heat_bath_model(lam: float = 0.3) -> HeatBathModel:
+def reference_heat_bath_model() -> HeatBathModel:
     """Reference thermalization model: qubit + four-level bath with all
     bath levels coupled and no first-order term (Phi has zero
     diagonal).
@@ -616,14 +620,14 @@ def reference_heat_bath_model(lam: float = 0.3) -> HeatBathModel:
         Q=SIGMA_X.copy(),
         Phi=phi,
         beta=1.0,
-        schedule=CoarseGrainSchedule(lam=lam, xi=1.0, T_ref=1.0),
+        schedule=CoarseGrainSchedule(lam=0.3, xi=1.0, T_ref=1.0),
     )
 
 
 QUASI_CONTINUUM_TAU_BAR = 0.2
 
 
-def quasi_continuum_model(lam: float = 0.2) -> HeatBathModel:
+def quasi_continuum_model() -> HeatBathModel:
     """Qubit + 16-level quasi-continuum bath: equally spaced levels with
     a smooth Gaussian coupling profile and no first-order term.  The
     parameters are frozen so the recorded error table is reproducible."""
@@ -643,7 +647,7 @@ def quasi_continuum_model(lam: float = 0.2) -> HeatBathModel:
         Q=SIGMA_X.copy(),
         Phi=phi,
         beta=1.0,
-        schedule=CoarseGrainSchedule(lam=lam, xi=1.0, T_ref=1.0),
+        schedule=CoarseGrainSchedule(lam=0.2, xi=1.0, T_ref=1.0),
     )
 
 

@@ -21,7 +21,6 @@ from . import linalg
 from .linalg import (
     devectorize,
     image_basis,
-    matrix_from_text,
     matrix_to_text,
     max_abs,
     numerical_nullity,
@@ -44,7 +43,6 @@ __all__ = [
     "trivial_family",
     "validate_cppnce",
     "kraus_to_text",
-    "kraus_from_text",
 ]
 
 
@@ -212,10 +210,6 @@ class PhysicalSubsystem:
     def project_state(self, rho: np.ndarray) -> np.ndarray:
         """Schrödinger (predual) projection."""
         return devectorize(self.schrodinger @ vectorize(rho), self.dim)
-
-    def in_image(self, X: np.ndarray) -> bool:
-        X = np.asarray(X, dtype=complex)
-        return max_abs(self.project(X) - X) <= 1e-9 * (1.0 + max_abs(X))
 
     @cached_property
     def image_bases(self) -> tuple:
@@ -401,8 +395,7 @@ def validate_cppnce(sub: PhysicalSubsystem, rng=0) -> ValidationReport:
     * normality              automatic in finite dimension; reported as
       vacuously true.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     d, sample_count, tol = sub.dim, 16, 1e-10
 
     unital = AxiomCheck("unital", sub.unital_defect <= tol, sub.unital_defect)
@@ -457,28 +450,3 @@ def kraus_to_text(family: KrausFamily) -> str:
     parts = [f"{len(family.operators)}\n"]
     parts.extend(matrix_to_text(V) for V in family.operators)
     return "".join(parts)
-
-
-def kraus_from_text(text: str) -> KrausFamily:
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty Kraus family text")
-    try:
-        count = int(tokens[0])
-    except ValueError as exc:
-        raise ValueError(f"bad Kraus count header {tokens[0]!r}") from exc
-    if count <= 0:
-        raise ValueError(f"Kraus count must be positive, got {count}")
-    pos = 1
-    ops = []
-    for k in range(count):
-        if pos + 2 > len(tokens):
-            raise ValueError(f"truncated Kraus family at operator {k}")
-        rows, cols = int(tokens[pos]), int(tokens[pos + 1])
-        need = 2 + 2 * rows * cols
-        chunk = tokens[pos:pos + need]
-        ops.append(matrix_from_text(" ".join(chunk)))
-        pos += need
-    if pos != len(tokens):
-        raise ValueError(f"{len(tokens) - pos} trailing tokens after last operator")
-    return KrausFamily(ops)

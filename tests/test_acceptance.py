@@ -243,8 +243,7 @@ def test_09_weak_coupling_sweep():
     H0, Hp = m.full_hamiltonian_parts()
     scheds = [CoarseGrainSchedule(0.2, 1.0, 1.0),
               CoarseGrainSchedule(0.05, 1.0, 1.0)]
-    res = weak_coupling_sweep(sub, H0, Hp, scheds, QUASI_CONTINUUM_TAU_BAR,
-                              n_times=41)
+    res = weak_coupling_sweep(sub, H0, Hp, scheds, QUASI_CONTINUUM_TAU_BAR)
     ok = res.sup_error[0.05] < res.sup_error[0.2]
     report(9, ok, "quasi-continuum sup error shrinks with the coupling",
            f"sup(0.2) = {res.sup_error[0.2]:.4f}, "

@@ -264,6 +264,21 @@ class TestValidate:
         assert "config error: --seed: " in capsys.readouterr().err
         assert not out.exists()
 
+    # exp(tG) is a semigroup: only t >= 0 is defined.
+    @pytest.mark.parametrize("old, new, field", [
+        ("start = 0.0", "start = -5.0", "[time].start"),
+        ("stop = 6.0", "stop = -1.0", "[time].stop"),
+    ], ids=["start", "stop"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_negative_time_exit_2(self, tmp_path, capsys, old, new, field,
+                                  command):
+        cfg = write_config(tmp_path, BASE_QFGR.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}: " in err and "must be >= 0" in err
+        assert not out.exists()
+
     # Each worker is a real thread, so only values below 1 are tested.
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("command", ["validate", "run"])

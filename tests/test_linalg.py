@@ -157,7 +157,9 @@ class TestExpm:
 class TestVectorization:
     def test_round_trip(self, rng):
         X = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        np.testing.assert_array_equal(devectorize(vectorize(X)), X)
+        np.testing.assert_array_equal(devectorize(vectorize(X), 5), X)
+        with pytest.raises(ValueError, match="not a square matrix"):
+            devectorize(vectorize(X), 4)
 
     def test_sandwich_identity_map(self):
         assert np.array_equal(sandwich_superop(np.eye(3), np.eye(3)), np.eye(9))
@@ -167,10 +169,10 @@ class TestVectorization:
         B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         lhs = sandwich_superop(A, B) @ vectorize(X)
-        np.testing.assert_allclose(devectorize(lhs), A @ X @ B, atol=1e-12)
+        np.testing.assert_allclose(devectorize(lhs, 4), A @ X @ B, atol=1e-12)
 
     def test_sandwich_pauli(self):
-        out = devectorize(sandwich_superop(SX, SX) @ vectorize(SZ))
+        out = devectorize(sandwich_superop(SX, SX) @ vectorize(SZ), 2)
         np.testing.assert_allclose(out, -SZ, atol=1e-14)
 
     def test_commutator_superops(self, rng):
@@ -179,10 +181,10 @@ class TestVectorization:
         X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         zero, zero_map = np.zeros((3, 3)), np.zeros((9, 9))
         np.testing.assert_allclose(
-            devectorize(lindblad_superop(H, zero, zero_map) @ vectorize(X)),
+            devectorize(lindblad_superop(H, zero, zero_map) @ vectorize(X), 3),
             1j * (H @ X - X @ H), atol=1e-12)
         np.testing.assert_allclose(
-            devectorize(lindblad_superop(zero, A, zero_map) @ vectorize(X)),
+            devectorize(lindblad_superop(zero, A, zero_map) @ vectorize(X), 3),
             -0.5 * (A @ X + X @ A), atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -278,8 +280,8 @@ class TestTracePairingAdjoint:
         for _ in range(5):
             rho = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            lhs = np.trace(devectorize(S_star @ vectorize(rho)) @ X)
-            rhs = np.trace(rho @ devectorize(S @ vectorize(X)))
+            lhs = np.trace(devectorize(S_star @ vectorize(rho), d) @ X)
+            rhs = np.trace(rho @ devectorize(S @ vectorize(X), d))
             assert abs(lhs - rhs) < 1e-10
 
     def test_involution(self, rng):

@@ -102,7 +102,7 @@ class TestQfgrGenerator:
         rho0 = np.diag([0.55, 0.25, 0.15, 0.05]).astype(complex)
         for t in (0.5, 2.0, 8.0):
             rho_t = devectorize(expm(t * gen.sector.schrodinger)
-                                @ vectorize(rho0))
+                                @ vectorize(rho0), 4)
             assert abs(np.trace(rho_t).real - 1.0) < 1e-9
             for P in projs:
                 block = P @ rho_t @ P
@@ -116,7 +116,7 @@ class TestQfgrGenerator:
         quotient = sub.schrodinger @ gen.bundle.schrodinger @ sub.schrodinger
         for gen_matrix in (gen.sector.schrodinger, quotient):
             rho = sub.project_state(random_density(rng, 4))
-            out = devectorize(gen_matrix @ vectorize(rho))
+            out = devectorize(gen_matrix @ vectorize(rho), 4)
             assert max_abs(out - sub.project_state(out)) < 1e-10
 
     def test_shifts_are_hermitian_blocks(self):
@@ -217,9 +217,9 @@ class TestHeatBathGenerator:
         assert dual_path_residual(general_heat_bath_bundle(m),
                                   heat_bath_generator(m)) <= 1e-7
 
-    def test_steady_state_note_names_small_gap(self):
-        ss = steady_state(heat_bath_generator(reference_heat_bath_model()),
-                          gap_tol=2.0)
+    def test_steady_state_note_names_small_gap(self, monkeypatch):
+        monkeypatch.setattr("cglind.generator.STEADY_STATE_GAP_TOL", 2.0)
+        ss = steady_state(heat_bath_generator(reference_heat_bath_model()))
         assert ss.flagged and ss.nullspace_dim == 1
         for part in (f"gap {ss.gap:.3e}", "gap_tol 2.000e+00",
                      f"distance {2.0 - ss.gap:.3e}"):
@@ -273,15 +273,14 @@ class TestWeakCouplingSweep:
         Hp = np.diag([0.4, -0.1]).astype(complex)
         scheds = [CoarseGrainSchedule(0.5, 1.0, 1.0),
                   CoarseGrainSchedule(0.25, 1.0, 1.0)]
-        res = weak_coupling_sweep(sub, H0, Hp, scheds, tau_bar=0.5, n_times=9)
+        res = weak_coupling_sweep(sub, H0, Hp, scheds, tau_bar=0.5)
         assert all(row.error < 1e-10 for row in res.rows)
 
     def test_time_zero_column_exact(self):
         m = heat_bath_qutrit_model()
         sub = general_heat_bath_bundle(m).subsystem
         H0, Hp = m.full_hamiltonian_parts()
-        res = weak_coupling_sweep(sub, H0, Hp, [m.schedule], tau_bar=0.3,
-                                  n_times=5)
+        res = weak_coupling_sweep(sub, H0, Hp, [m.schedule], tau_bar=0.3)
         first = [row for row in res.rows if row.t == 0.0]
         assert first and all(row.error < 1e-12 for row in first)
 
