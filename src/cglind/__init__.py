@@ -22,7 +22,6 @@ from .generator import (
 )
 from .linalg import EigenSystem, choi_matrix, expm, hermitian_eig, is_psd
 from .subsystem import (
-    KrausFamily,
     PhysicalSubsystem,
     build_projection,
     commutant,
@@ -36,7 +35,6 @@ __all__ = [
     "CoarseGrainSchedule",
     "EigenSystem",
     "GeneratorBundle",
-    "KrausFamily",
     "LindbladDecomposition",
     "PhysicalSubsystem",
     "T_of_lambda",

@@ -348,16 +348,9 @@ def _run_lambda(cfg: ScenarioConfig, lam: float, general: PreparedGenerator,
     choi_min = np.array([is_psd(choi_matrix(expm(t * S))).min_eig for t in times])
 
     cert = qds_certificate(bundle, CERTIFICATE_TIMES, rng=cfg.seed)
-    cert_dict = {
-        "times": list(cert.times),
-        "choi_min_eig": list(cert.choi_min_eig),
-        "unitality_dev": list(cert.unitality_dev),
-        "trace_preservation_dev": list(cert.trace_preservation_dev),
-        "restricted_heis_norm": list(cert.restricted_heis_norm),
-        "semigroup_dev": cert.semigroup_dev,
-        "trace_norm_growth": cert.trace_norm_growth,
-        "passed": cert.passed,
-    }
+    values = ((f.name, getattr(cert, f.name)) for f in dataclasses.fields(cert))
+    cert_dict = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                 for k, v in values}
     if not cert.passed:
         failures.append("semigroup certificate failed")
     if traj.max_trace_dev > 1e-9:

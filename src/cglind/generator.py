@@ -20,6 +20,7 @@ states is the image-restricted (quotient) action.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -48,7 +49,7 @@ from .linalg import (
     trace_pairing_adjoint,
     vectorize,
 )
-from .subsystem import PhysicalSubsystem
+from .subsystem import PhysicalSubsystem, kraus_to_text
 
 __all__ = [
     "LindbladDecomposition",
@@ -96,13 +97,20 @@ class GeneratorBundle:
     T: float
 
     @classmethod
-    def from_decomposition(cls, dec: LindbladDecomposition,
-                           sched: CoarseGrainSchedule, sub: PhysicalSubsystem,
-                           T: float) -> "GeneratorBundle":
-        """Assemble the Heisenberg generator from its Lindblad pieces.
+    def at_coupling(cls, sched: CoarseGrainSchedule, sub: PhysicalSubsystem,
+                    T: float, h_free: np.ndarray, h_first: np.ndarray,
+                    shift: np.ndarray, decay: np.ndarray,
+                    jump: np.ndarray) -> "GeneratorBundle":
+        """Assemble the Heisenberg generator from h_free, h_first (already
+        scaled by lam) and lam^2 times the second-order pieces.  ``jump``
+        is scaled in place, so no unscaled copy stays alive next to it.
 
         Psi(1) = A and unitality G(1) = 0 are asserted at 1e-10 relative
         (to the decay and the generator max entries)."""
+        lam2 = sched.lam * sched.lam
+        dec = LindbladDecomposition(
+            h_free=h_free, h_first=h_first, h_lamb=lam2 * shift,
+            decay=lam2 * decay, jump_map=np.multiply(jump, lam2, out=jump))
         heis = lindblad_superop(dec.effective_hamiltonian(), dec.decay,
                                 dec.jump_map)
         d = sub.dim
@@ -118,20 +126,6 @@ class GeneratorBundle:
                 f"generator is not unital: ||G(1)||_max = {unital_dev:.3e}")
         return cls(decomposition=dec, heisenberg=heis, schedule=sched,
                    subsystem=sub, T=T)
-
-    @classmethod
-    def at_coupling(cls, sched: CoarseGrainSchedule, sub: PhysicalSubsystem,
-                    T: float, h_free: np.ndarray, h_first: np.ndarray,
-                    shift: np.ndarray, decay: np.ndarray,
-                    jump: np.ndarray) -> "GeneratorBundle":
-        """:meth:`from_decomposition` of h_free, h_first (already scaled
-        by lam) and lam^2 times the second-order pieces.  ``jump`` is
-        scaled in place, so no unscaled copy stays alive next to it."""
-        lam2 = sched.lam * sched.lam
-        dec = LindbladDecomposition(
-            h_free=h_free, h_first=h_first, h_lamb=lam2 * shift,
-            decay=lam2 * decay, jump_map=np.multiply(jump, lam2, out=jump))
-        return cls.from_decomposition(dec, sched, sub, T)
 
     @property
     def dim(self) -> int:
@@ -419,6 +413,16 @@ class Trajectory:
         return float(np.min(self.min_eig)) if len(self.min_eig) else 0.0
 
 
+def _semigroup_times(times: Sequence[float]) -> np.ndarray:
+    """The times as a float array, read once; the generator defines a
+    semigroup, so a negative time raises ValueError."""
+    times = np.asarray(list(times), dtype=float)
+    if np.any(times < 0):
+        raise ValueError(f"negative time {float(times.min())!r}: the "
+                         "semigroup exp(tG) is defined for t >= 0 only")
+    return times
+
+
 def evolve(bundle: GeneratorBundle, state0: np.ndarray,
            times: Sequence[float]) -> Trajectory:
     """Propagate a density matrix in the predual image along the
@@ -427,10 +431,7 @@ def evolve(bundle: GeneratorBundle, state0: np.ndarray,
     minimum eigenvalue are recorded at every sampled time.  The
     generator defines a semigroup, so a negative time raises ValueError.
     """
-    times = np.asarray(list(times), dtype=float)
-    if np.any(times < 0):
-        raise ValueError(f"negative time {times.min()!r}: the semigroup "
-                         "exp(tG) is defined for t >= 0 only")
+    times = _semigroup_times(times)
     d = bundle.dim
     state0 = require_hermitian(state0, "initial state", rtol=1e-10)
     if abs(np.trace(state0).real - 1.0) > 1e-9:
@@ -476,10 +477,10 @@ def qds_certificate(bundle: GeneratorBundle,
     trace norm of three evolved sampled states must not grow by more
     than 1e-9.  The spectral norm of the image-restricted Heisenberg
     propagator is reported (not asserted; it is a Hilbert-Schmidt
-    proxy, not the algebra norm).
+    proxy, not the algebra norm).  A negative time raises ValueError.
     """
     rng = np.random.default_rng(rng)
-    times = np.asarray(list(time_samples), dtype=float)
+    times = _semigroup_times(time_samples)
     d = bundle.dim
     eye_vec = vectorize(np.eye(d))
 
@@ -563,8 +564,6 @@ def steady_state(bundle: GeneratorBundle) -> SteadyStateResult:
     if dim_null == 0:
         return SteadyStateResult(None, 0, 0.0, True,
                                  note="no nullspace found at tolerance")
-    gap_tol = STEADY_STATE_GAP_TOL
-    flagged = gap < gap_tol or dim_null > 1
     if dim_null > 1:
         return SteadyStateResult(None, dim_null, gap, True,
                                  note="nullspace is not one-dimensional")
@@ -578,12 +577,12 @@ def steady_state(bundle: GeneratorBundle) -> SteadyStateResult:
                                  note="null vector is traceless; cannot normalize")
     rho = rho / tr
     min_eig = float(np.linalg.eigvalsh(rho)[0])
-    notes = [f"gap {gap:.3e} below gap_tol {gap_tol:.3e} (distance "
-             f"{gap_tol - gap:.3e})"] if gap < gap_tol else []
+    notes = [f"gap {gap:.3e} below gap_tol {STEADY_STATE_GAP_TOL:.3e} "
+             f"(distance {STEADY_STATE_GAP_TOL - gap:.3e})"] \
+        if gap < STEADY_STATE_GAP_TOL else []
     if min_eig < -1e-9:
-        flagged = True
         notes.append(f"normalized null state not PSD (min eig {min_eig:.3e})")
-    return SteadyStateResult(rho, 1, gap, flagged, note="; ".join(notes))
+    return SteadyStateResult(rho, 1, gap, bool(notes), note="; ".join(notes))
 
 
 def export_bundle(bundle: GeneratorBundle, directory) -> None:
@@ -591,8 +590,6 @@ def export_bundle(bundle: GeneratorBundle, directory) -> None:
     plain-text manifest (schedule, dims, subsystem descriptor).  Its
     ``commutant_dim`` is rank P0 = round(Re Tr P0), which a checked build
     proves equal to the commutant dimension."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     dec = bundle.decomposition
     pieces = {
@@ -614,12 +611,11 @@ def export_bundle(bundle: GeneratorBundle, directory) -> None:
         f"xi = {sched.xi:.17g}",
         f"T_ref = {sched.T_ref:.17g}",
         f"T = {bundle.T:.17g}",
-        f"kraus_count = {len(bundle.subsystem.kraus.operators)}",
+        f"kraus_count = {len(bundle.subsystem.operators)}",
         f"commutant_dim = {round(np.trace(bundle.subsystem.heisenberg).real)}",
         "pieces = h_free h_first h_lamb decay jump_map heisenberg schrodinger",
     ]
     with open(os.path.join(directory, "manifest.txt"), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    from .subsystem import kraus_to_text
     with open(os.path.join(directory, "kraus.mat"), "w", encoding="ascii") as fh:
-        fh.write(kraus_to_text(bundle.subsystem.kraus))
+        fh.write(kraus_to_text(bundle.subsystem))

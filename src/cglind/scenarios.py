@@ -151,7 +151,7 @@ class PreparedQfgr(PreparedGenerator):
         which is returned, not judged (a run fails a coupling above 1e-8).
         """
         sub = self.subsystem
-        projs = sub.kraus.operators
+        projs = sub.operators
         bundle, L, shift = self._bundle(sched)
 
         amplitudes = {(src, dst): P_dst @ L @ P_src
@@ -512,7 +512,8 @@ def projected_error_curve(bundle: GeneratorBundle, H0: np.ndarray,
     g = bundle.restricted_heisenberg()
 
     evals, evecs = np.linalg.eigh(H0 + lam * Hp)
-    errors = np.empty(len(list(times)))
+    times = np.asarray(list(times), dtype=float)
+    errors = np.empty(len(times))
     for idx, t in enumerate(times):
         U = evecs @ np.diag(np.exp(1j * evals * t)) @ evecs.conj().T
         cols = np.empty((d * d, k), dtype=complex)

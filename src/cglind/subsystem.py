@@ -31,7 +31,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "KrausFamily",
     "CommutantResult",
     "PhysicalSubsystem",
     "AxiomCheck",
@@ -47,47 +46,6 @@ __all__ = [
 
 
 @dataclass
-class KrausFamily:
-    """Finite family of d x d operators V_a defining
-    P0(X) = sum_a V_a† X V_a."""
-
-    operators: list
-
-    def __post_init__(self):
-        if not self.operators:
-            raise ValueError("Kraus family must contain at least one operator")
-        ops = [require_square(V, "Kraus operator") for V in self.operators]
-        d = ops[0].shape[0]
-        for V in ops:
-            if V.shape[0] != d:
-                raise ValueError("Kraus operators must share one dimension")
-        self.operators = ops
-        self._superop = None  # not a field: digests and equality skip it
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def heisenberg_superop(self) -> np.ndarray:
-        """Matrix of X -> sum_a V_a† X V_a, built on first use and cached
-        read-only (every caller shares it).
-
-        The Kraus sum of krons sum_a kron(V_a.T, V_a†) is evaluated as
-        one tensordot; per-term np.kron is prohibitively slow for the
-        large partial-trace families.
-        """
-        if self._superop is None:
-            d = self.dim
-            V = np.stack(self.operators)
-            T4 = np.tensordot(V.transpose(0, 2, 1), V.conj().transpose(0, 2, 1),
-                              axes=(0, 0))
-            self._superop = np.ascontiguousarray(
-                T4.transpose(0, 2, 1, 3)).reshape(d * d, d * d)
-            self._superop.flags.writeable = False
-        return self._superop
-
-
-@dataclass
 class CommutantResult:
     """Orthonormal (Hilbert-Schmidt) basis of the joint commutant of a
     Kraus family, with the singular-value diagnostics of the nullspace
@@ -100,18 +58,18 @@ class CommutantResult:
     flagged: bool
 
 
-def _gram(family: KrausFamily) -> np.ndarray:
+def _gram(sub: PhysicalSubsystem) -> np.ndarray:
     """Gram matrix N = sum ad_G† ad_G over G in {V_a, V_a†}: N X = 0
     exactly when X commutes with every G.  It collapses to two large
     krons, N = kron(1, A) + kron(A*, 1) - 2 P0 - 2 P0*, A = sum V†V + VV†."""
-    eye = np.eye(family.dim, dtype=complex)
-    S = family.heisenberg_superop()
-    A = sum(V.conj().T @ V + V @ V.conj().T for V in family.operators)
+    eye = np.eye(sub.dim, dtype=complex)
+    S = sub.heisenberg
+    A = sum(V.conj().T @ V + V @ V.conj().T for V in sub.operators)
     return np.kron(eye, A) + np.kron(A.conj(), eye) - 2.0 * S \
         - 2.0 * trace_pairing_adjoint(S)
 
 
-def commutant(family: KrausFamily) -> CommutantResult:
+def commutant(sub: PhysicalSubsystem) -> CommutantResult:
     """Joint commutant {X : [V_a, X] = [V_a†, X] = 0 for all a}.
 
     Computed as the nullspace of the stacked commutator superoperators.
@@ -129,11 +87,11 @@ def commutant(family: KrausFamily) -> CommutantResult:
     vectors are mapped back (Hermitian basis operators).  The effective
     zero threshold is sqrt-limited to 1e-7 by double precision there.
     """
-    d = family.dim
+    d = sub.dim
     dd = d * d
     eye = np.eye(d, dtype=complex)
     gens = []
-    for V in family.operators:
+    for V in sub.operators:
         gens.append(V)
         gens.append(V.conj().T)
 
@@ -144,7 +102,7 @@ def commutant(family: KrausFamily) -> CommutantResult:
         dim_null, gap = numerical_nullity(svals, 1e-9)
         null = vh[len(svals) - dim_null:].conj()  # smallest singular values
     else:
-        N = _gram(family)
+        N = _gram(sub)
         # vec index of E_ab is b d + a: the diagonal, then E_ab and E_ba
         # for a < b; c = 1/√2 is the basis normalization.
         a, b = np.triu_indices(d, 1)
@@ -170,24 +128,47 @@ def commutant(family: KrausFamily) -> CommutantResult:
 
 @dataclass
 class PhysicalSubsystem:
-    """A Kraus family, unchecked (``build_projection`` checks it).  P0 is
-    the family's cached superoperator; the rest is derived on first read,
-    from read-only data, so a race repeats work."""
+    """Finite Kraus family {V_a} of d x d operators and the map it
+    defines, P0(X) = sum_a V_a† X V_a; unchecked (``build_projection``
+    checks it).  P0 and the rest are derived on first read, from
+    read-only data, so a race repeats work."""
 
-    kraus: KrausFamily
+    operators: list
+
+    def __post_init__(self):
+        if not self.operators:
+            raise ValueError("Kraus family must contain at least one operator")
+        ops = [require_square(V, "Kraus operator") for V in self.operators]
+        d = ops[0].shape[0]
+        for V in ops:
+            if V.shape[0] != d:
+                raise ValueError("Kraus operators must share one dimension")
+        self.operators = ops
 
     @property
     def dim(self) -> int:
-        return self.kraus.dim
+        return self.operators[0].shape[0]
 
-    @property
+    @cached_property
     def heisenberg(self) -> np.ndarray:
-        return self.kraus.heisenberg_superop()
+        """Matrix of P0, read-only (every caller shares it).
+
+        The Kraus sum of krons sum_a kron(V_a.T, V_a†) is evaluated as
+        one tensordot; per-term np.kron is prohibitively slow for the
+        large partial-trace families.
+        """
+        d = self.dim
+        V = np.stack(self.operators)
+        T4 = np.tensordot(V.transpose(0, 2, 1), V.conj().transpose(0, 2, 1),
+                          axes=(0, 0))
+        S = np.ascontiguousarray(T4.transpose(0, 2, 1, 3)).reshape(d * d, d * d)
+        S.flags.writeable = False
+        return S
 
     @cached_property
     def unital_defect(self) -> float:
         """||P0(1) - 1||_max with P0(1) = sum_a V_a† V_a."""
-        return max_abs(sum(V.conj().T @ V for V in self.kraus.operators)
+        return max_abs(sum(V.conj().T @ V for V in self.operators)
                        - np.eye(self.dim))
 
     @cached_property
@@ -201,7 +182,7 @@ class PhysicalSubsystem:
 
     @cached_property
     def commutant_info(self) -> CommutantResult:
-        return commutant(self.kraus)
+        return commutant(self)
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """Heisenberg projection P0(X)."""
@@ -218,8 +199,8 @@ class PhysicalSubsystem:
         return image_basis(self.heisenberg)
 
 
-def build_projection(kraus: KrausFamily) -> PhysicalSubsystem:
-    """The checked PhysicalSubsystem: P0 must be a conditional expectation
+def build_projection(sub: PhysicalSubsystem) -> PhysicalSubsystem:
+    """Check ``sub`` and return it: P0 must be a conditional expectation
     onto the commutant of {V_a, V_a†}.
 
     It checks unitality to 1e-10 and N P0 = 0, N (``_gram``) vanishing
@@ -241,13 +222,12 @@ def build_projection(kraus: KrausFamily) -> PhysicalSubsystem:
     nu = 2 (||A||_inf + s + s1) >= ||N||_inf; it also bounds P0(Y) - Y of
     an idempotent P0, which names the cause of a failure.
     """
-    sub = PhysicalSubsystem(kraus)
     if sub.unital_defect > 1e-10:
         raise ValueError(
             f"Kraus family is not unit preserving: defect {sub.unital_defect:.3e}")
-    d, k, S = kraus.dim, 8, kraus.heisenberg_superop()
-    A = sum(V.conj().T @ V + V @ V.conj().T for V in kraus.operators)
-    absV = np.abs(np.stack(kraus.operators))
+    d, k, S = sub.dim, 8, sub.heisenberg
+    A = sum(V.conj().T @ V + V @ V.conj().T for V in sub.operators)
+    absV = np.abs(np.stack(sub.operators))
     col, row = absV.sum(axis=1), absV.sum(axis=2)
     s, s1 = float((col.T @ col).max()), float((row.T @ row).max())
     nu = 2.0 * (float(np.abs(A).sum(axis=1).max()) + s + s1)
@@ -274,7 +254,7 @@ def build_projection(kraus: KrausFamily) -> PhysicalSubsystem:
         f"residual max|N P0| on {k} probes = {resid:.3e} > {bound:.3e})")
 
 
-def sector_family(sector_dims: Sequence[int]) -> KrausFamily:
+def sector_family(sector_dims: Sequence[int]) -> PhysicalSubsystem:
     """Kraus family of orthogonal projectors onto consecutive blocks of
     the given dimensions."""
     dims = list(sector_dims)
@@ -290,16 +270,16 @@ def sector_family(sector_dims: Sequence[int]) -> KrausFamily:
         P[start:start + n, start:start + n] = np.eye(n)
         ops.append(P)
         start += n
-    return KrausFamily(ops)
+    return PhysicalSubsystem(ops)
 
 
-def trivial_family(dim: int) -> KrausFamily:
+def trivial_family(dim: int) -> PhysicalSubsystem:
     """Identity Kraus family; the projection is the identity map and the
     subsystem is the full matrix algebra."""
-    return KrausFamily([np.eye(dim, dtype=complex)])
+    return PhysicalSubsystem([np.eye(dim, dtype=complex)])
 
 
-def partial_trace_family(dim_a: int, bath_state: np.ndarray) -> KrausFamily:
+def partial_trace_family(dim_a: int, bath_state: np.ndarray) -> PhysicalSubsystem:
     """Kraus family V_ab = 1_A kron sqrt(w)|phi_b><phi_a| built in the
     bath-state eigenbasis (ascending eigenvalues).
 
@@ -321,12 +301,12 @@ def partial_trace_family(dim_a: int, bath_state: np.ndarray) -> KrausFamily:
         for b in range(dim_b):
             bath_op = roots[b] * np.outer(evecs[:, b], evecs[:, a].conj())
             ops.append(np.kron(eye_a, bath_op))
-    fam = KrausFamily(ops)
-    worst = _predual_defect(fam.heisenberg_superop(), dim_a, w)
+    sub = PhysicalSubsystem(ops)
+    worst = _predual_defect(sub.heisenberg, dim_a, w)
     if worst > 1e-10:
         raise ValueError(
             f"partial-trace family failed predual cross-check: {worst:.3e}")
-    return fam
+    return sub
 
 
 def _predual_defect(S: np.ndarray, dim_a: int, w: np.ndarray) -> float:
@@ -412,7 +392,7 @@ def validate_cppnce(sub: PhysicalSubsystem, rng=0) -> ValidationReport:
     comm_dev = 0.0
     for _ in range(sample_count):
         X = sub.project(_random_complex(rng, d))
-        for G in sub.kraus.operators + [V.conj().T for V in sub.kraus.operators]:
+        for G in sub.operators + [V.conj().T for V in sub.operators]:
             comm_dev = max(comm_dev, max_abs(X @ G - G @ X) / (1.0 + max_abs(X)))
     fixed_dev = max(sub.unital_defect, comm_dev)
     fixed = AxiomCheck("fixed_points", fixed_dev <= 1e-9, fixed_dev)
@@ -446,7 +426,7 @@ def validate_cppnce(sub: PhysicalSubsystem, rng=0) -> ValidationReport:
 # Serialization: count header, then each operator in interchange format.
 # ---------------------------------------------------------------------------
 
-def kraus_to_text(family: KrausFamily) -> str:
-    parts = [f"{len(family.operators)}\n"]
-    parts.extend(matrix_to_text(V) for V in family.operators)
+def kraus_to_text(sub: PhysicalSubsystem) -> str:
+    parts = [f"{len(sub.operators)}\n"]
+    parts.extend(matrix_to_text(V) for V in sub.operators)
     return "".join(parts)

@@ -30,7 +30,6 @@ from cglind.scenarios import (
     QUASI_CONTINUUM_TAU_BAR,
 )
 from cglind.subsystem import (
-    KrausFamily,
     PhysicalSubsystem,
     build_projection,
     partial_trace_family,
@@ -261,8 +260,8 @@ def test_10_conditional_expectation_validator():
                                                    bath.bath_state()))
     r1 = validate_cppnce(sector_sub, rng=3)
     r2 = validate_cppnce(pt_sub, rng=3)
-    broken = KrausFamily([np.eye(2, dtype=complex) / 2, SX / 2, SZ / 2])
-    r3 = validate_cppnce(PhysicalSubsystem(broken), rng=3)
+    broken = PhysicalSubsystem([np.eye(2, dtype=complex) / 2, SX / 2, SZ / 2])
+    r3 = validate_cppnce(broken, rng=3)
     ok = r1.all_passed and r2.all_passed and not r3.bimodule.ok \
         and r3.bimodule.witness > 0.0
     report(10, ok, "validator passes scenario families, breaks broken family",

@@ -456,14 +456,14 @@ class TestRun:
         # builds a trivial qubit subsystem, whose superoperator is 4 x 4
         # and is left out here.
         returned = []
-        original = subsystem.KrausFamily.heisenberg_superop
+        original = subsystem.PhysicalSubsystem.heisenberg
 
         def recording(self):
-            S = original(self)
+            S = original.__get__(self, subsystem.PhysicalSubsystem)
             returned.append(S)
             return S
-        monkeypatch.setattr(subsystem.KrausFamily, "heisenberg_superop",
-                            recording)
+        monkeypatch.setattr(subsystem.PhysicalSubsystem, "heisenberg",
+                            property(recording))
         cfg = write_config(tmp_path, GIBBS.replace("lambda = 0.3 0.1",
                                                    "lambda = 0.3 0.2 0.1"))
         assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 0

@@ -40,7 +40,6 @@ from cglind.linalg import (
     vectorize,
 )
 from cglind.subsystem import (
-    KrausFamily,
     PhysicalSubsystem,
     build_projection,
     partial_trace_family,
@@ -285,7 +284,7 @@ def _oracle_case(name, rng):
     if name == "not-idempotent":
         ops = [0.5 * (rng.standard_normal((3, 3))
                       + 1j * rng.standard_normal((3, 3))) for _ in range(2)]
-        sub = PhysicalSubsystem(KrausFamily(ops))
+        sub = PhysicalSubsystem(ops)
         assert sub.idempotency_defect > 1e-2
         return sub, random_hermitian(rng, 3), random_hermitian(rng, 3), 0.8
     raise KeyError(name)
@@ -445,6 +444,12 @@ class TestCertificate:
         cert = qds_certificate(dephasing_bundle(), (0.1, 1.0, 10.0))
         assert cert.passed
         assert np.all(cert.choi_min_eig >= -1e-9 * 3)
+
+    def test_negative_time_raises(self):
+        # exp(tG) is certified for t >= 0 only; at t < 0 a valid generator
+        # would be reported as failed
+        with pytest.raises(ValueError, match=r"negative time -0\.5: "):
+            qds_certificate(dephasing_bundle(), (0.1, -0.5, 1.0))
 
     def test_time_zero_choi_rank_one(self):
         bundle = dephasing_bundle()

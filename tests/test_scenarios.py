@@ -266,6 +266,19 @@ class TestGibbsStudy:
         assert rows[0].distance < 0.05
 
 
+class TestProjectedErrorCurve:
+    def test_times_may_be_a_generator(self):
+        # the times are read once: a generator gives the list's values
+        m = two_sector_qubit_model()
+        bundle = qfgr_generator(m).bundle
+        times = [0.0, 2.0, 5.0]
+        expected = scenarios.projected_error_curve(bundle, m.H0, m.Hp, times)
+        got = scenarios.projected_error_curve(bundle, m.H0, m.Hp,
+                                              (t for t in times))
+        assert expected[1] > 1e-3
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestWeakCouplingSweep:
     def test_in_image_perturbation_is_exact(self):
         sub = build_projection(sector_family([1, 1]))

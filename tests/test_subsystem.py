@@ -19,7 +19,6 @@ from cglind.linalg import (
     vectorize,
 )
 from cglind.subsystem import (
-    KrausFamily,
     PhysicalSubsystem,
     _gram,
     _predual_defect,
@@ -53,18 +52,60 @@ def image_larger_family(U):
     e = np.eye(3, dtype=complex)
     ops = [np.outer(e[0], e[0]), np.outer(e[1], e[1]),
            np.outer(e[0], e[2]) / np.sqrt(2), np.outer(e[1], e[2]) / np.sqrt(2)]
-    return KrausFamily([U @ V @ U.conj().T for V in ops])
+    return PhysicalSubsystem([U @ V @ U.conj().T for V in ops])
 
 
 def dephasing_subsystem():
-    return build_projection(KrausFamily([E00, E11]))
+    return build_projection(PhysicalSubsystem([E00, E11]))
 
 
 def broken_family():
     """Incomplete unitary family: the missing element breaks the
     projection and bimodule structure while keeping the Kraus (CP)
     form."""
-    return KrausFamily([np.eye(2, dtype=complex) / 2, SX / 2, SZ / 2])
+    return PhysicalSubsystem([np.eye(2, dtype=complex) / 2, SX / 2, SZ / 2])
+
+
+class TestPhysicalSubsystem:
+    def test_rejects_empty_family(self):
+        with pytest.raises(ValueError, match="at least one operator"):
+            PhysicalSubsystem([])
+
+    def test_rejects_non_square_operator(self):
+        with pytest.raises(ValueError, match=r"Kraus operator must be square, "
+                           r"got shape \(2, 3\)"):
+            PhysicalSubsystem([np.eye(2), np.ones((2, 3))])
+
+    def test_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError, match="share one dimension"):
+            PhysicalSubsystem([np.eye(2), np.eye(3)])
+
+    def test_heisenberg_is_built_once_and_read_only(self, rng, monkeypatch):
+        # the predual cross-check, the checked build and every later read
+        # share the one P0 of the subsystem
+        calls = []
+        original = np.tensordot
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(subsystem.np, "tensordot", counted)
+        sub = partial_trace_family(2, random_density(rng, 3))
+        S = sub.heisenberg
+        build_projection(sub)
+        sub.project(np.eye(6))
+        sub.project_state(np.eye(6) / 6)
+        assert sub.heisenberg is S
+        assert len(calls) == 1
+        assert not S.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            S[0, 0] = 1.0
+
+    def test_build_returns_its_argument(self):
+        for sub in (sector_family([1, 2]), trivial_family(2),
+                    partial_trace_family(1, np.eye(2) / 2)):
+            assert type(sub) is PhysicalSubsystem
+            assert build_projection(sub) is sub
 
 
 class TestBuildProjection:
@@ -95,9 +136,10 @@ class TestBuildProjection:
         # qubit depolarizing channel: unital, and P0^2 != P0 for 0 < p < 1
         p = 0.3
         SY = np.array([[0, -1j], [1j, 0]])
-        fam = KrausFamily([np.sqrt(1 - 3 * p / 4) * np.eye(2, dtype=complex)]
-                          + [np.sqrt(p / 4) * P for P in (SX, SY, SZ)])
-        assert PhysicalSubsystem(fam).unital_defect < 1e-15
+        fam = PhysicalSubsystem(
+            [np.sqrt(1 - 3 * p / 4) * np.eye(2, dtype=complex)]
+            + [np.sqrt(p / 4) * P for P in (SX, SY, SZ)])
+        assert fam.unital_defect < 1e-15
         with pytest.raises(ValueError, match="Kraus map is not idempotent"):
             build_projection(fam)
 
@@ -107,7 +149,6 @@ class TestBuildProjection:
         sub = build_projection(partial_trace_family(2, random_density(rng, 3)))
         assert "idempotency_defect" not in sub.__dict__
         assert sub.idempotency_defect < 1e-12
-        assert sub.heisenberg is sub.kraus.heisenberg_superop()
 
     def test_probe_residual_is_gram_on_the_probes(self, rng):
         # the reported residual is max|N P0 Omega| for the build's seeded
@@ -116,14 +157,14 @@ class TestBuildProjection:
         fam = image_larger_family(random_unitary(rng, 3))
         probes = np.random.default_rng(0).standard_normal((2, 9, 8))
         omega = probes[0] + 1j * probes[1]
-        dense = max_abs(_gram(fam) @ fam.heisenberg_superop() @ omega)
+        dense = max_abs(_gram(fam) @ fam.heisenberg @ omega)
         with pytest.raises(ValueError, match="on 8 probes") as info:
             build_projection(fam)
         reported = float(re.search(r"probes = (\S+) >", str(info.value))[1])
         assert reported == pytest.approx(dense, rel=1e-3)
 
     def test_lenient_build_records_defects(self):
-        sub = PhysicalSubsystem(broken_family())
+        sub = broken_family()
         assert sub.idempotency_defect > 1e-3
         assert sub.unital_defect > 1e-3
 
@@ -132,10 +173,9 @@ class TestBuildProjection:
         with pytest.raises(ValueError, match="does not match the commutant "
                            r"span \(invariance residual max\|N P0\|"):
             build_projection(fam)
-        sub = PhysicalSubsystem(fam)
-        assert sub.commutant_info.dimension == 1
-        assert sub.unital_defect < 1e-12
-        assert sub.idempotency_defect < 1e-12
+        assert fam.commutant_info.dimension == 1
+        assert fam.unital_defect < 1e-12
+        assert fam.idempotency_defect < 1e-12
 
 
 def _complex_gram_commutant(family, zero_tol=1e-9):
@@ -167,7 +207,7 @@ def _block_family(rng, blocks, U):
                 V = J @ np.kron(np.eye(n), bath_op) @ J.T
                 ops.append(U @ V @ U.conj().T)
         start += n * m
-    return KrausFamily(ops)
+    return PhysicalSubsystem(ops)
 
 
 class TestCommutantGramRoute:
@@ -192,16 +232,15 @@ class TestCommutantGramRoute:
                 V[sl, sl] = 0.1 * (rng.standard_normal((8, 8))
                                    + 1j * rng.standard_normal((8, 8)))
             ops.append(V)
-        sub = PhysicalSubsystem(KrausFamily(ops))
+        sub = PhysicalSubsystem(ops)
         assert sub.idempotency_defect > 1e-3
         return sub, 2
 
     def test_matches_complex_gram(self, case):
         sub, expected_dim = case
-        fam = sub.kraus
-        assert 2 * len(fam.operators) * fam.dim ** 4 > 3_000_000
+        assert 2 * len(sub.operators) * sub.dim ** 4 > 3_000_000
         res = sub.commutant_info
-        svals, dim_null, proj = _complex_gram_commutant(fam)
+        svals, dim_null, proj = _complex_gram_commutant(sub)
         assert res.dimension == dim_null == expected_dim
         assert not res.flagged
         smax = svals[0]
@@ -249,7 +288,7 @@ class TestInvarianceCheck:
                                         [(3, 1), (1, 2)], [(1, 4)]])
     def test_decision_agrees_with_commutant(self, rng, blocks):
         def oracle_accepts(fam):
-            rank = np.linalg.matrix_rank(fam.heisenberg_superop())
+            rank = np.linalg.matrix_rank(fam.heisenberg)
             return commutant(fam).dimension == rank
         d = sum(n * m for n, m in blocks)
         for _ in range(3):
@@ -282,20 +321,21 @@ def _predual_defect_loop(S, dim_a, w):
 class TestPredualCrossCheck:
     def test_batched_equals_loop(self, rng):
         w = random_density(rng, 3)
-        S = partial_trace_family(2, w).heisenberg_superop()
+        S = partial_trace_family(2, w).heisenberg
         noise = rng.standard_normal(S.shape) + 1j * rng.standard_normal(S.shape)
         for M in (S, S + 1e-6 * noise):
             assert _predual_defect(M, 2, w) == _predual_defect_loop(M, 2, w)
 
     def test_rejects_perturbed_superoperator(self, rng, monkeypatch):
         w = random_density(rng, 3)
-        original = KrausFamily.heisenberg_superop
+        original = PhysicalSubsystem.heisenberg
 
         def perturbed(self):
-            S = original(self).copy()
+            S = original.__get__(self, PhysicalSubsystem).copy()
             S[7, 11] += 1e-8
             return S
-        monkeypatch.setattr(KrausFamily, "heisenberg_superop", perturbed)
+        monkeypatch.setattr(PhysicalSubsystem, "heisenberg",
+                            property(perturbed))
         with pytest.raises(ValueError, match="predual cross-check"):
             partial_trace_family(2, w)
 
@@ -351,13 +391,14 @@ class TestSectorFamily:
 
 class TestCommutant:
     def test_sigma_z(self):
-        res = commutant(KrausFamily([SZ]))
+        res = commutant(PhysicalSubsystem([SZ]))
         assert res.dimension == 2
         for C in res.basis:
             assert max_abs(C @ SZ - SZ @ C) < 1e-10
 
     def test_identity(self):
-        assert commutant(KrausFamily([np.eye(3, dtype=complex)])).dimension == 9
+        res = commutant(PhysicalSubsystem([np.eye(3, dtype=complex)]))
+        assert res.dimension == 9
 
     def test_block_sectors_dimension(self):
         # blocks of size 2 and 3: commutant is M2 + M3, dimension 4 + 9
@@ -369,7 +410,7 @@ class TestCommutant:
         # a second generator misaligned by 1e-8 leaves singular values in
         # the ambiguous band between the zero threshold and the gap limit
         R = expm(1e-8j * np.array([[0, -1j], [1j, 0]], dtype=complex))
-        res = commutant(KrausFamily([SZ, R @ SZ @ R.conj().T]))
+        res = commutant(PhysicalSubsystem([SZ, R @ SZ @ R.conj().T]))
         assert res.flagged
 
 
@@ -471,7 +512,7 @@ class TestValidator:
         assert report.complete_positivity.ok
 
     def test_broken_family_fails_bimodule(self):
-        sub = PhysicalSubsystem(broken_family())
+        sub = broken_family()
         report = validate_cppnce(sub, rng=7)
         assert not report.bimodule.ok
         assert report.bimodule.witness > 1e-3
@@ -488,8 +529,8 @@ class TestValidator:
         monkeypatch.setattr(subsystem, "commutant", counted)
         subs = [dephasing_subsystem(),
                 build_projection(partial_trace_family(2, random_density(rng, 3))),
-                PhysicalSubsystem(broken_family()),
-                PhysicalSubsystem(image_larger_family(random_unitary(rng, 3)))]
+                broken_family(),
+                image_larger_family(random_unitary(rng, 3))]
         for sub in subs:
             validate_cppnce(sub, rng=7)
         assert calls == []
@@ -497,7 +538,7 @@ class TestValidator:
     def test_image_larger_than_commutant_fails_fixed_points(self, rng):
         # unital and idempotent, so only the commutator residual of the
         # projected samples can catch the image that exceeds C 1
-        sub = PhysicalSubsystem(image_larger_family(random_unitary(rng, 3)))
+        sub = image_larger_family(random_unitary(rng, 3))
         report = validate_cppnce(sub, rng=7)
         assert report.unital.ok and report.idempotent.ok
         assert not report.fixed_points.ok
