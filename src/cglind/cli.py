@@ -42,10 +42,10 @@ row-major "re im" pairs)::
 
 Exit codes: 0 when every asserted invariant passed, 1 on invariant
 failure (witnesses in the JSON summary), 2 on a config error (a parse
-error, a model that cannot be built, or times t whose propagator
-exp(t G) needs more than the 64 squarings of ``expm``; nothing is
-written).  The CSV is byte-identical across repeated runs with the
-same config and seed.
+error, a model that cannot be built, an output directory that is or
+lies below a file, or times t whose propagator exp(t G) needs more
+than the 64 squarings of ``expm``; nothing is written).  The CSV is
+byte-identical across repeated runs with the same config and seed.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from .subsystem import build_projection, partial_trace_family
 __all__ = ["main", "run_config", "ScenarioConfig", "RunReport"]
 
 OUT_DIR_ENV = "CGLIND_OUT_DIR"
-CERTIFICATE_TIMES = (0.1, 1.0, 10.0, 100.0)
 FULL_CHOI_DIM_LIMIT = 9
 MATRIX_KEYS = {"qfgr": ("h0", "hp"), "heat_bath": ("h_a", "h_b", "q", "phi")}
 
@@ -138,12 +137,11 @@ def parse_config(path: str) -> ScenarioConfig:
     if not read:
         raise ConfigError([("file", f"cannot read config file {path!r}")])
 
-    def need(section, key, cast=str, default=None, required=True):
+    def need(section, key, cast=str, default=None):
         if not cp.has_option(section, key):
-            if required and default is None:
+            if default is None:
                 issues.append((f"[{section}].{key}",
                                f"missing required field {key}"))
-                return None
             return default
         raw = cp.get(section, key)
         try:
@@ -156,7 +154,7 @@ def parse_config(path: str) -> ScenarioConfig:
     if kind is not None and kind not in ("qfgr", "heat_bath"):
         issues.append(("[scenario].kind",
                        f"kind must be qfgr or heat_bath, got {kind!r}"))
-    preset = need("scenario", "preset", required=False)
+    preset = cp.get("scenario", "preset", fallback=None)
     if preset is not None and preset not in PRESETS:
         issues.append(("[scenario].preset",
                        f"unknown preset {preset!r}; see 'presets list'"))
@@ -223,18 +221,16 @@ def parse_config(path: str) -> ScenarioConfig:
             except ValueError as exc:  # the window overflows
                 issues.append(("[schedule].lambda", str(exc)))
 
-    time_mode = need("time", "mode", default="explicit", required=False)
+    time_mode = need("time", "mode", default="explicit")
     if time_mode not in ("explicit", "auto"):
         issues.append(("[time].mode",
                        f"mode must be explicit or auto, got {time_mode!r}"))
-    t_start = need("time", "start", _finite, default=0.0, required=False)
+    t_start = need("time", "start", _finite, default=0.0)
     t_stop = need("time", "stop", _finite,
-                  default=(None if time_mode == "explicit" else 10.0),
-                  required=(time_mode == "explicit"))
-    t_count = need("time", "count", int, default=6, required=False)
+                  default=(None if time_mode == "explicit" else 10.0))
+    t_count = need("time", "count", int, default=6)
     tau_bar = need("time", "tau_bar", _finite,
-                   default=(None if time_mode == "auto" else 1.0),
-                   required=(time_mode == "auto"))
+                   default=(None if time_mode == "auto" else 1.0))
     if t_count is not None and t_count < 1:
         issues.append(("[time].count", f"count must be >= 1, got {t_count}"))
     for key, value in (("start", t_start), ("stop", t_stop)):
@@ -249,11 +245,14 @@ def parse_config(path: str) -> ScenarioConfig:
                 issues.append(("[schedule].lambda", "auto window end tau_bar / "
                                f"lambda^2 is not finite for lambda = {lam}"))
 
-    seed = need("run", "seed", int, default=0, required=False)
+    seed = need("run", "seed", int, default=0)
     if seed is not None and seed < 0:
         issues.append(("[run].seed", f"seed must be nonnegative, got {seed}"))
-    csv_name = need("output", "csv", default="run.csv", required=False)
-    json_name = need("output", "json", default="run.json", required=False)
+    csv_name = need("output", "csv", default="run.csv")
+    json_name = need("output", "json", default="run.json")
+    if os.path.normpath(json_name) == os.path.normpath(csv_name):
+        issues.append(("[output].json", f"json and csv name the same file "
+                       f"{json_name!r}; the JSON would overwrite the CSV"))
 
     if issues:
         raise ConfigError(issues)
@@ -347,7 +346,7 @@ def _run_lambda(cfg: ScenarioConfig, lam: float, general: PreparedGenerator,
     S = (gen_bundle if gen_bundle.dim <= FULL_CHOI_DIM_LIMIT else bundle).schrodinger
     choi_min = np.array([is_psd(choi_matrix(expm(t * S))).min_eig for t in times])
 
-    cert = qds_certificate(bundle, CERTIFICATE_TIMES, rng=cfg.seed)
+    cert = qds_certificate(bundle, rng=cfg.seed)
     values = ((f.name, getattr(cert, f.name)) for f in dataclasses.fields(cert))
     cert_dict = {k: v.tolist() if isinstance(v, np.ndarray) else v
                  for k, v in values}
@@ -422,13 +421,17 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 
 
 def _write_json(path: str, cfg: ScenarioConfig, report: RunReport) -> None:
+    """Strict JSON, with a missing (NaN) Gibbs distance written as null."""
+    gibbs = report.gibbs_distances and [
+        dict(g, distance=g["distance"] if np.isfinite(g["distance"]) else None)
+        for g in report.gibbs_distances]
     payload = {
         "tool_version": __version__,
         "config": _config_echo(cfg),
         "kind": report.kind,
         "wall_clock_s": report.wall_clock_s,
         "passed": report.passed(),
-        "gibbs_distances": report.gibbs_distances,
+        "gibbs_distances": gibbs,
         "results": [
             {
                 "lambda": r.lam,
@@ -443,9 +446,9 @@ def _write_json(path: str, cfg: ScenarioConfig, report: RunReport) -> None:
             for r in report.results
         ],
     }
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def main(argv=None) -> int:
@@ -481,6 +484,13 @@ def main(argv=None) -> int:
             raise ConfigError([("--threads", "threads must be at least 1, "
                                 f"got {args.threads}")])
         cfg = parse_config(args.config)
+        out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+        probe = os.path.abspath(out_dir)
+        while not os.path.exists(probe):  # the nearest existing ancestor
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            raise ConfigError([("--out-dir" if args.out_dir else f"${OUT_DIR_ENV}",
+                                f"{probe!r} exists and is not a directory")])
     except ConfigError as exc:
         for fld, msg in exc.issues:
             print(f"config error: {fld}: {msg}", file=sys.stderr)
@@ -498,7 +508,6 @@ def main(argv=None) -> int:
         print(f"config error: {fld}: t ||G|| too large for the propagator "
               f"({exc})", file=sys.stderr)
         return 2
-    out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, cfg.csv_name), report)
     _write_json(os.path.join(out_dir, cfg.json_name), cfg, report)

@@ -289,10 +289,8 @@ class CorrelationData:
 
     def h(self, t):
         t = np.asarray(t, dtype=float)
-        return np.sum(self.weights[:, None]
-                      * np.exp(1j * self.frequencies[:, None] * t[None, :]),
-                      axis=0) if t.ndim else np.sum(
-            self.weights * np.exp(1j * self.frequencies * float(t)))
+        return np.sum(self.weights * np.exp(1j * self.frequencies * t[..., None]),
+                      axis=-1)
 
 
 def bath_correlation(m: HeatBathModel) -> CorrelationData:
@@ -309,33 +307,19 @@ def bath_correlation(m: HeatBathModel) -> CorrelationData:
     Phi_eig = evecs.conj().T @ m.Phi @ evecs
     mean = float(np.sum(pops * np.diag(Phi_eig).real))
 
-    d = m.dim_B
-    freqs = []
-    weights = []
-    for i in range(d):
-        for j in range(d):
-            c = pops[i] * abs(Phi_eig[i, j]) ** 2
-            freqs.append(evals[i] - evals[j])
-            weights.append(c)
-    freqs = np.array(freqs)
-    weights = np.array(weights)
+    freqs = np.subtract.outer(evals, evals).ravel()
+    # Python's scalar abs and ** on each entry: the array forms round
+    # differently on complex Phi
+    weights = np.array([p * abs(z) ** 2 for p, row in zip(pops, Phi_eig)
+                        for z in row])
 
     order = np.argsort(freqs, kind="stable")
     freqs, weights = freqs[order], weights[order]
-    merged_f, merged_w = [], []
-    start = 0
-    for k in range(1, len(freqs) + 1):
-        if k == len(freqs) or freqs[k] - freqs[k - 1] > merge_tol:
-            chunk_w = weights[start:k]
-            chunk_f = freqs[start:k]
-            total = chunk_w.sum()
-            pos = float(np.average(chunk_f, weights=chunk_w)) if total > 0 \
-                else float(chunk_f.mean())
-            merged_f.append(pos)
-            merged_w.append(float(total))
-            start = k
-    merged_f = np.array(merged_f)
-    merged_w = np.array(merged_w)
+    cuts = np.flatnonzero(np.diff(freqs) > merge_tol) + 1
+    groups = list(zip(np.split(freqs, cuts), np.split(weights, cuts)))
+    merged_w = np.array([float(w.sum()) for _, w in groups])
+    merged_f = np.array([float(np.average(f, weights=w)) if w.sum() > 0
+                         else float(f.mean()) for f, w in groups])
 
     connected = merged_w.copy()
     zero = np.abs(merged_f) <= merge_tol

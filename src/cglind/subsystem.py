@@ -262,15 +262,9 @@ def sector_family(sector_dims: Sequence[int]) -> PhysicalSubsystem:
         raise ValueError("sector_dims must be nonempty")
     if any(int(n) != n or n <= 0 for n in dims):
         raise ValueError(f"sector dimensions must be positive integers: {dims}")
-    d = int(sum(dims))
-    ops = []
-    start = 0
-    for n in dims:
-        P = np.zeros((d, d), dtype=complex)
-        P[start:start + n, start:start + n] = np.eye(n)
-        ops.append(P)
-        start += n
-    return PhysicalSubsystem(ops)
+    labels = np.repeat(np.arange(len(dims)), [int(n) for n in dims])
+    return PhysicalSubsystem([np.diag((labels == k).astype(complex))
+                              for k in range(len(dims))])
 
 
 def trivial_family(dim: int) -> PhysicalSubsystem:

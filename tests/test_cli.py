@@ -2,6 +2,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import scale_sector_amplitudes
@@ -291,6 +292,43 @@ class TestValidate:
         assert "config error: --threads: " in capsys.readouterr().err
         assert not out.exists()
 
+    # The JSON is written after the CSV into the same directory.
+    @pytest.mark.parametrize("json_name", ["same.csv", "./same.csv"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_json_overwriting_csv_exit_2(self, tmp_path, capsys, command,
+                                         json_name):
+        cfg = write_config(tmp_path, BASE_QFGR.replace(
+            "csv = out.csv", "csv = same.csv").replace(
+            "json = out.json", f"json = {json_name}"))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [output].json: " in err and "same file" in err
+        assert not out.exists()
+
+    # An output directory that is a file, or lies below one, cannot be
+    # made: reported before the run, which would otherwise be lost.
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_file"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_out_dir_naming_a_file_exit_2(self, tmp_path, capsys, monkeypatch,
+                                          command, source, below):
+        cfg = write_config(tmp_path, BASE_QFGR)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        target = str(taken / below) if below else str(taken)
+        before = sorted(os.listdir(tmp_path))
+        if source == "flag":
+            argv, field = ["--out-dir", target], "--out-dir"
+        else:
+            monkeypatch.setenv("CGLIND_OUT_DIR", target)
+            argv, field = [], "$CGLIND_OUT_DIR"
+        assert main(argv + [command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}: " in err and "not a directory" in err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert taken.read_text() == "keep\n"
+
     def test_parse_config_collects_issues(self, tmp_path):
         cfg = write_config(tmp_path, BASE_QFGR
                            .replace("xi = 1.0", "xi = 2.5")
@@ -340,6 +378,24 @@ class TestRun:
         assert len(dists) == 2
         assert dists[1] < dists[0]
         assert payload["results"][0]["extras"]["dual_path_residual"] < 1e-7
+
+    def test_missing_gibbs_distance_is_null(self, tmp_path):
+        # At lambda = 1e-3 the qubit-gibbs steady state is not unique: the
+        # row keeps NaN, the JSON says null and stays strict JSON.
+        cfg = write_config(tmp_path, GIBBS.replace("lambda = 0.3 0.1",
+                                                   "lambda = 1e-3"))
+        report = cli.run_config(parse_config(cfg))
+        assert np.isnan(report.gibbs_distances[0]["distance"])
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "run", cfg]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        payload = json.loads((out / "gibbs.json").read_text(),
+                             parse_constant=reject)
+        (row,) = payload["gibbs_distances"]
+        assert row["distance"] is None
+        assert row["flagged"] is True and row["nullspace_dim"] == 2
 
     def test_deterministic_csv(self, tmp_path):
         cfg = write_config(tmp_path, BASE_QFGR)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import kron_commutator, random_density, scale_sector_amplitudes
+from conftest import kron_commutator, random_density, random_hermitian, \
+    random_unitary, scale_sector_amplitudes
 from cglind import scenarios
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
 from cglind.generator import expm, qds_certificate, steady_state
@@ -196,6 +197,99 @@ class TestBathCorrelation:
         corr = bath_correlation(reference_heat_bath_model())
         assert np.all(corr.weights >= 0.0)
         assert np.all(corr.connected_weights >= -1e-12)
+
+
+MERGE_TOL = 1e-10
+
+
+def reference_comb(m):
+    """Merged lines of the bath comb as a double loop over level pairs
+    and a merge scan build them: the reference the numpy form of
+    bath_correlation must reproduce byte for byte."""
+    evals, evecs, pops = scenarios._gibbs_eigh(m.H_B, m.beta)
+    Phi_eig = evecs.conj().T @ m.Phi @ evecs
+    freqs, weights = [], []
+    for i in range(m.dim_B):
+        for j in range(m.dim_B):
+            freqs.append(evals[i] - evals[j])
+            weights.append(pops[i] * abs(Phi_eig[i, j]) ** 2)
+    freqs, weights = np.array(freqs), np.array(weights)
+    order = np.argsort(freqs, kind="stable")
+    freqs, weights = freqs[order], weights[order]
+    merged_f, merged_w, start = [], [], 0
+    for k in range(1, len(freqs) + 1):
+        if k == len(freqs) or freqs[k] - freqs[k - 1] > MERGE_TOL:
+            chunk_f, chunk_w = freqs[start:k], weights[start:k]
+            total = chunk_w.sum()
+            merged_f.append(float(np.average(chunk_f, weights=chunk_w))
+                            if total > 0 else float(chunk_f.mean()))
+            merged_w.append(float(total))
+            start = k
+    return np.array(merged_f), np.array(merged_w)
+
+
+def random_bath(rng, kind, beta):
+    """Bath with a 5-level spectrum of the given kind and a random Phi."""
+    levels = {
+        "generic": rng.standard_normal(5),
+        "degenerate": rng.choice([0.0, 0.5, 1.0], size=5),
+        # chains of lines spaced 3e-11 apart, merged link by link
+        "chain": np.array([0.0, 3e-11, 6e-11, 1.0, 1.0 + 4e-11]),
+        "diagonal": rng.choice([0.0, 0.5, 1.0], size=5),
+        "mean": rng.standard_normal(5),
+    }[kind]
+    if kind == "diagonal":  # Phi diagonal with H_B: weightless off-diagonal groups
+        H_B, Phi = np.diag(levels), np.diag(rng.standard_normal(5))
+    else:
+        U = random_unitary(rng, 5)
+        H_B, Phi = U @ np.diag(levels) @ U.conj().T, random_hermitian(rng, 5)
+    if kind == "mean":
+        Phi = Phi + 5.0 * np.eye(5)
+    return HeatBathModel(H_A=SZ, H_B=H_B, Q=SX, Phi=Phi, beta=beta,
+                         schedule=CoarseGrainSchedule(0.4, 1.0, 1.0))
+
+
+class TestBathCombBytes:
+    @staticmethod
+    def assert_matches_reference(m):
+        corr = bath_correlation(m)
+        ref_f, ref_w = reference_comb(m)
+        n = len(ref_f)
+        assert corr.frequencies[:n].tobytes() == ref_f.tobytes()
+        assert corr.weights[:n].tobytes() == ref_w.tobytes()
+        # only the zero line the mean needs may follow the merged lines
+        assert np.all(corr.frequencies[n:] == 0.0) and len(corr.frequencies) <= n + 1
+        return corr, ref_w
+
+    @pytest.mark.parametrize("name", [name for name, p in scenarios.PRESETS.items()
+                                      if p.kind == "heat_bath"])
+    def test_presets(self, name):
+        self.assert_matches_reference(scenarios.PRESETS[name].builder())
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 40.0])
+    @pytest.mark.parametrize("kind", ["generic", "degenerate", "chain",
+                                      "diagonal", "mean"])
+    def test_seeded_random_baths(self, kind, beta):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            m = random_bath(rng, kind, beta)
+            corr, ref_w = self.assert_matches_reference(m)
+            if kind in ("degenerate", "chain"):
+                assert len(corr.frequencies) < 25  # lines were merged
+            if kind == "diagonal":
+                assert np.any(ref_w == 0.0)  # the mean fallback ran
+            if kind == "mean":
+                assert abs(corr.mean) > 1.0
+
+    def test_h_on_arrays_matches_scalars(self):
+        # one broadcast over a trailing line axis: every entry of h(t)
+        # is summed exactly as h at that one time
+        corr = bath_correlation(scenarios.PRESETS["quasi-continuum"].builder())
+        ts = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        values = corr.h(ts)
+        assert values.shape == ts.shape
+        scalars = np.array([corr.h(t) for t in ts.ravel()]).reshape(ts.shape)
+        assert values.tobytes() == scalars.tobytes()
 
 
 class TestHeatBathGenerator:

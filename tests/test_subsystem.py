@@ -388,6 +388,35 @@ class TestSectorFamily:
         with pytest.raises(ValueError, match="nonempty"):
             sector_family([])
 
+    @staticmethod
+    def reference_projectors(dims):
+        """The projectors as a loop over block slices builds them."""
+        d, start, ops = sum(dims), 0, []
+        for n in dims:
+            P = np.zeros((d, d), dtype=complex)
+            P[start:start + n, start:start + n] = np.eye(n)
+            ops.append(P)
+            start += n
+        return ops
+
+    @pytest.mark.parametrize("dims", [[1], [1, 1], [2, 2], [2, 3, 3],
+                                      [3, 1, 4, 1], [6]])
+    def test_matches_slice_loop_bytes(self, dims):
+        ops = sector_family(dims).operators
+        ref = self.reference_projectors(dims)
+        assert [P.tobytes() for P in ops] == [P.tobytes() for P in ref]
+        assert all(P.flags.c_contiguous and P.dtype == complex for P in ops)
+
+    def test_integral_float_dims_accepted(self):
+        # the validator accepts 1.0 and 2.0; the builder casts them
+        ops = sector_family([1.0, 2.0]).operators
+        ref = self.reference_projectors([1, 2])
+        assert [P.tobytes() for P in ops] == [P.tobytes() for P in ref]
+
+    def test_fractional_dims_rejected(self):
+        with pytest.raises(ValueError, match="positive integers"):
+            sector_family([1.5, 2])
+
 
 class TestCommutant:
     def test_sigma_z(self):
