@@ -150,7 +150,7 @@ def pv_gaussian_quadrature(mu: float, a: float) -> float:
     Richardson extrapolated in delta (the leading exclusion error is
     linear).
     """
-    # Deferred: only the oracles use scipy.integrate, and runs never call them.
+    # Deferred: only this oracle uses scipy.integrate, and runs never call it.
     from scipy.integrate import quad
     if a <= 0.0:
         raise ValueError(f"Gaussian width parameter a must be positive, got {a}")

@@ -72,14 +72,13 @@ __all__ = [
 @dataclass
 class LindbladDecomposition:
     """Pieces of the generator: free and first-order Hamiltonians, the
-    second-order Hamiltonian shift, the decay operator A = Psi(1), and
-    the completely positive jump map Psi as a superoperator."""
+    second-order Hamiltonian shift and the decay operator A = Psi(1).
+    The jump map Psi is not kept: it is G - i[H_eff, .] + (1/2){A, .}."""
 
     h_free: np.ndarray
     h_first: np.ndarray
     h_lamb: np.ndarray
     decay: np.ndarray
-    jump_map: np.ndarray
 
     def effective_hamiltonian(self) -> np.ndarray:
         return self.h_free + self.h_first + self.h_lamb
@@ -87,8 +86,9 @@ class LindbladDecomposition:
 
 @dataclass
 class GeneratorBundle:
-    """The Heisenberg generator with its pieces; its Schrödinger forms
-    are derived on first use (threads that race there repeat the work)."""
+    """The Heisenberg generator (read-only) with its pieces.  The
+    Schrödinger form is derived on each read; the quotient form is
+    derived on first use (threads that race there repeat the work)."""
 
     decomposition: LindbladDecomposition
     heisenberg: np.ndarray
@@ -103,23 +103,26 @@ class GeneratorBundle:
                     jump: np.ndarray) -> "GeneratorBundle":
         """Assemble the Heisenberg generator from h_free, h_first (already
         scaled by lam) and lam^2 times the second-order pieces.  ``jump``
-        is scaled in place, so no unscaled copy stays alive next to it.
+        is consumed: it is scaled in place and the generator is assembled
+        over it, so it becomes the returned ``heisenberg``.
 
-        Psi(1) = A and unitality G(1) = 0 are asserted at 1e-10 relative
-        (to the decay and the generator max entries)."""
+        Psi(1) = A, checked on the jump before assembly, and unitality
+        G(1) = 0 are asserted at 1e-10 relative (to the decay and the
+        generator max entries)."""
         lam2 = sched.lam * sched.lam
         dec = LindbladDecomposition(
             h_free=h_free, h_first=h_first, h_lamb=lam2 * shift,
-            decay=lam2 * decay, jump_map=np.multiply(jump, lam2, out=jump))
-        heis = lindblad_superop(dec.effective_hamiltonian(), dec.decay,
-                                dec.jump_map)
+            decay=lam2 * decay)
+        np.multiply(jump, lam2, out=jump)
         d = sub.dim
         eye_vec = vectorize(np.eye(d))
         scale = 1.0 + max_abs(dec.decay)
-        psi_unit_dev = max_abs(devectorize(dec.jump_map @ eye_vec, d) - dec.decay)
+        psi_unit_dev = max_abs(devectorize(jump @ eye_vec, d) - dec.decay)
         if psi_unit_dev > 1e-10 * scale:
             raise ValueError(
                 f"jump map violates Psi(1) = A: defect {psi_unit_dev:.3e}")
+        heis = _add_lindblad_terms(dec.effective_hamiltonian(), dec.decay, jump)
+        heis.flags.writeable = False
         unital_dev = max_abs(heis @ eye_vec)
         if unital_dev > 1e-10 * (1.0 + max_abs(heis)):
             raise ValueError(
@@ -131,8 +134,9 @@ class GeneratorBundle:
     def dim(self) -> int:
         return self.subsystem.dim
 
-    @cached_property
+    @property
     def schrodinger(self) -> np.ndarray:
+        """A fresh copy on each read: an index permutation of G_H."""
         return trace_pairing_adjoint(self.heisenberg)
 
     @cached_property
@@ -160,54 +164,52 @@ class GeneratorBundle:
 
 def lindblad_superop(hamiltonian: np.ndarray, decay: np.ndarray,
                      jump: np.ndarray) -> np.ndarray:
-    """Heisenberg superoperator X -> i[H, X] - (1/2){decay, X} + jump(X).
+    """Heisenberg superoperator X -> i[H, X] - (1/2){decay, X} + jump(X):
+    :func:`_add_lindblad_terms` over a copy of ``jump``."""
+    return _add_lindblad_terms(hamiltonian, decay,
+                               np.array(jump, dtype=complex))
 
-    The value is 1j * (kron(1, H) - kron(H^T, 1))
-    - 0.5 * (kron(1, decay) + kron(decay^T, 1)) + jump, written one row
-    block at a time into the output, so no d^2 x d^2 temporary is formed.
-    kron(X, Y)[i d + k, j d + l] = X[i, j] * Y[k, l], so row block i of
+
+def _add_lindblad_terms(hamiltonian: np.ndarray, decay: np.ndarray,
+                        jump: np.ndarray) -> np.ndarray:
+    """Add i[H, .] - (1/2){decay, .} into the complex d^2 x d^2 array
+    ``jump`` in place, one row block at a time, and return it.
+
+    The value added is 1j * (kron(1, H) - kron(H^T, 1))
+    - 0.5 * (kron(1, decay) + kron(decay^T, 1)).  Row block i of
     kron(X, Y) is X[i, j] * Y[k, l] over (k, j, l): the same elementwise
-    products np.kron forms, combined in the same order, hence the same
-    bits.  Besides the output, the work memory is two d^3 blocks.
+    products np.kron forms, combined in the same order and added to the
+    jump last, hence the bits of the Kronecker assembly.  The products
+    are formed a few columns j at a time (numpy buffers both factors of
+    a broadcast product), so the work memory is two d^3 blocks.
     """
     H = require_square(hamiltonian, "commutator generator")
     A = require_square(decay, "anticommutator generator")
     d = H.shape[0]
-    dd = d * d
     jump = np.asarray(jump)
-    if A.shape != H.shape or jump.shape != (dd, dd):
+    if A.shape != H.shape or jump.shape != (d * d, d * d):
         raise ValueError(
             f"incompatible Lindblad pieces: hamiltonian {H.shape}, "
             f"decay {A.shape}, jump {jump.shape}")
-    out = np.empty((dd, dd), dtype=complex)
     eye = np.eye(d, dtype=complex)
-    tmp, tmp2 = np.empty((2, d, d, d), dtype=complex)
-    for i, blk in enumerate(out.reshape(d, d, d, d)):
-        # 1j * (kron(1, H) - kron(H^T, 1))
-        _kron_row_block(eye, H, i, blk)
-        _kron_row_block(H.T, eye, i, tmp)
-        np.subtract(blk, tmp, out=blk)
-        np.multiply(1j, blk, out=blk)
-        # - 0.5 * (kron(1, A) + kron(A^T, 1))
-        _kron_row_block(eye, A, i, tmp)
-        _kron_row_block(A.T, eye, i, tmp2)
-        np.add(tmp, tmp2, out=tmp)
-        np.multiply(0.5, tmp, out=tmp)
-        np.subtract(blk, tmp, out=blk)
-        np.add(blk, jump[i * d:(i + 1) * d].reshape(d, d, d), out=blk)
-    return out
-
-
-def _kron_row_block(X: np.ndarray, Y: np.ndarray, i: int, out: np.ndarray):
-    """Row block i of kron(X, Y) for d x d factors, as out[k, j, l] =
-    X[i, j] * Y[k, l], a few columns j at a time: numpy buffers both
-    factors of a broadcast product, and over all of (k, j, l) that
-    would be two more d^3 arrays."""
-    d = X.shape[1]
-    step = max(1, ELEMENTWISE_CHUNK // (d * d))
-    for j in range(0, d, step):
-        np.multiply(X[i, j:j + step, None], Y[:, None, :],
-                    out=out[:, j:j + step])
+    comm, anti = np.empty((2, d, d, d), dtype=complex)
+    step = min(d, max(1, ELEMENTWISE_CHUNK // (d * d)))
+    work = np.empty((d, step, d), dtype=complex)
+    for i, blk in enumerate(np.reshape(jump, (d, d, d, d), copy=False)):
+        for j in range(0, d, step):
+            js = slice(j, j + step)
+            c, a, w = comm[:, js], anti[:, js], work[:, :min(step, d - j)]
+            np.multiply(eye[i, js, None], H[:, None, :], out=c)
+            np.multiply(H.T[i, js, None], eye[:, None, :], out=w)
+            np.subtract(c, w, out=c)
+            np.multiply(eye[i, js, None], A[:, None, :], out=a)
+            np.multiply(A.T[i, js, None], eye[:, None, :], out=w)
+            np.add(a, w, out=a)
+        np.multiply(1j, comm, out=comm)
+        np.multiply(0.5, anti, out=anti)
+        np.subtract(comm, anti, out=comm)
+        np.add(comm, blk, out=blk)
+    return jump
 
 
 def assemble_kt(sub: PhysicalSubsystem, h0_eig, Hp: np.ndarray, T: float):
@@ -342,8 +344,6 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
     the complement by construction).  Desk-scale only: dims above 12
     are rejected.
     """
-    # Deferred: only the oracles use scipy.integrate, and runs never call them.
-    from scipy.integrate import cumulative_simpson
     if T <= 0.0:
         raise ValueError(f"window width T must be positive, got {T}")
     H0 = require_hermitian(H0, "H0")
@@ -388,13 +388,26 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
     rows = (1j * (Yt[None] @ Hp_t[:, None] - Hp_t[:, None] @ Yt[None])
             ).reshape(K_T_ORACLE_POINTS, rank, dd) @ P1
 
-    cum = cumulative_simpson(F10.real, dx=h, axis=0, initial=0) \
-        + 1j * cumulative_simpson(F10.imag, dx=h, axis=0, initial=0)
+    cum = _cumulative_simpson(F10.real, h) \
+        + 1j * _cumulative_simpson(F10.imag, h)
 
     coeff = np.full(K_T_ORACLE_POINTS, h)
     coeff[[0, -1]] = 0.5 * h
     inner = np.sum((coeff * weights)[:, None, None] * (rows @ cum), axis=0)
     return (L @ inner @ R) / (np.sqrt(np.pi) * T)
+
+
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """scipy 1.17.1's ``cumulative_simpson(y, dx=h, axis=0, initial=0)``
+    bit for bit, without loading scipy.integrate: interval k takes
+    h/3 (5 f1/4 + 2 f2 - f3/4) over the three points that start at it if
+    k is even, else (and for the last) over the three that end at it."""
+    bwd = h / 3 * (5 * y[2:] / 4 + 2 * y[1:-1] - y[:-2] / 4)
+    parts = np.zeros(y.shape)
+    parts[1:-1:2] = h / 3 * (5 * y[:-2:2] / 4 + 2 * y[1:-1:2] - y[2::2] / 4)
+    parts[2::2] = bwd[::2]
+    parts[-1] = bwd[-1]
+    return np.cumsum(parts, axis=0)
 
 
 @dataclass
@@ -486,11 +499,12 @@ def qds_certificate(bundle: GeneratorBundle,
 
     g_restricted = bundle.restricted_heisenberg()
     quotient = bundle.quotient_schrodinger
+    schrodinger = bundle.schrodinger
 
     schr_props = {}
     choi_min, unit_dev, tp_dev, rnorm = [], [], [], []
     for t in times:
-        prop_s = expm(t * bundle.schrodinger)
+        prop_s = expm(t * schrodinger)
         schr_props[float(t)] = prop_s
         choi_min.append(is_psd(choi_matrix(prop_s)).min_eig)
         prop_h = expm(t * bundle.heisenberg)
@@ -501,7 +515,7 @@ def qds_certificate(bundle: GeneratorBundle,
     semi_dev = 0.0
     for i, s in enumerate(times):
         for t in times[i:]:
-            lhs = expm((s + t) * bundle.schrodinger)
+            lhs = expm((s + t) * schrodinger)
             rhs = schr_props[float(s)] @ schr_props[float(t)]
             semi_dev = max(semi_dev, max_abs(lhs - rhs))
 
@@ -589,7 +603,8 @@ def export_bundle(bundle: GeneratorBundle, directory) -> None:
     """Write the Lindblad pieces as interchange-format matrices plus a
     plain-text manifest (schedule, dims, subsystem descriptor).  Its
     ``commutant_dim`` is rank P0 = round(Re Tr P0), which a checked build
-    proves equal to the commutant dimension."""
+    proves equal to the commutant dimension.  The jump map is not
+    written: it is G_H - i[H_eff, .] + (1/2){A, .} of the pieces."""
     os.makedirs(directory, exist_ok=True)
     dec = bundle.decomposition
     pieces = {
@@ -597,7 +612,6 @@ def export_bundle(bundle: GeneratorBundle, directory) -> None:
         "h_first.mat": dec.h_first,
         "h_lamb.mat": dec.h_lamb,
         "decay.mat": dec.decay,
-        "jump_map.mat": dec.jump_map,
         "heisenberg.mat": bundle.heisenberg,
         "schrodinger.mat": bundle.schrodinger,
     }
@@ -613,7 +627,7 @@ def export_bundle(bundle: GeneratorBundle, directory) -> None:
         f"T = {bundle.T:.17g}",
         f"kraus_count = {len(bundle.subsystem.operators)}",
         f"commutant_dim = {round(np.trace(bundle.subsystem.heisenberg).real)}",
-        "pieces = h_free h_first h_lamb decay jump_map heisenberg schrodinger",
+        "pieces = h_free h_first h_lamb decay heisenberg schrodinger",
     ]
     with open(os.path.join(directory, "manifest.txt"), "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

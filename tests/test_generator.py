@@ -87,6 +87,16 @@ def commutator_bundle():
                            SZ, sched)
 
 
+def jump_map(bundle, H0, Hp):
+    """lam^2 Psi: the jump a bundle built from (H0, H') was assembled
+    over, taken from the K_T pieces before assembly (the bundle keeps
+    only the generator)."""
+    prepared = generator_module.PreparedGenerator(bundle.subsystem, H0, Hp)
+    _, _, _, jump = generator_module._kt_pieces(
+        bundle.subsystem, prepared.h0_eig, prepared.Hp, bundle.T)
+    return bundle.schedule.lam ** 2 * jump
+
+
 class TestLindbladSuperop:
     @pytest.mark.parametrize("d", range(1, 10))
     def test_matches_kron_assembly_bytes(self, d, rng):
@@ -96,6 +106,15 @@ class TestLindbladSuperop:
         H, A, jump = draw(d), draw(d), draw(d * d)
         assert lindblad_superop(H, A, jump).tobytes() \
             == _lindblad_superop_kron(H, A, jump).tobytes()
+
+    def test_non_contiguous_jump_matches_kron_assembly_bytes(self, rng):
+        d = 4
+        H, A = random_hermitian(rng, d), random_hermitian(rng, d)
+        wide = rng.standard_normal((d * d, 2 * d * d)) \
+            + 1j * rng.standard_normal((d * d, 2 * d * d))
+        for jump in (np.asfortranarray(wide[:, :d * d]), wide[:, ::2]):
+            assert lindblad_superop(H, A, jump).tobytes() \
+                == _lindblad_superop_kron(H, A, jump).tobytes()
 
     def test_sector_jump_matches_kron_assembly_bytes(self):
         m = qfgr_two_block_model()
@@ -127,7 +146,7 @@ class TestBuildGenerator:
         bundle = commutator_bundle()
         dec = bundle.decomposition
         assert max_abs(dec.decay) < 1e-12
-        assert max_abs(dec.jump_map) < 1e-12
+        assert max_abs(jump_map(bundle, np.diag([0.4, -0.7]), SZ)) < 1e-12
         assert max_abs(dec.h_lamb) < 1e-12
         expected = 1j * kron_commutator(dec.h_free + dec.h_first)
         np.testing.assert_allclose(bundle.heisenberg, expected, atol=1e-12)
@@ -167,13 +186,14 @@ class TestBuildGenerator:
         d = bundle.dim
         eye_vec = vectorize(np.eye(d))
         assert max_abs(bundle.heisenberg @ eye_vec) < 1e-10
-        psi_one = devectorize(bundle.decomposition.jump_map @ eye_vec, d)
+        psi_one = devectorize(jump_map(bundle, SZ, SX) @ eye_vec, d)
         assert max_abs(psi_one - bundle.decomposition.decay) < 1e-10
 
     @pytest.mark.parametrize("name", ["two-sector-qubit", "qfgr-two-blocks",
                                       "heat-bath-qutrit", "qubit-gibbs"])
     def test_jump_scaled_in_place_keeps_bytes(self, name):
-        # the bundle scales its jump map in place: the bits of lam^2 * jump
+        # the bundle scales its jump in place and assembles G_H over it:
+        # the bits of the assembly over lam^2 * jump
         m = PRESETS[name].builder()
         if PRESETS[name].kind == "qfgr":
             sub = build_projection(sector_family(m.sector_dims))
@@ -188,13 +208,11 @@ class TestBuildGenerator:
             sub, prepared.h0_eig, prepared.Hp, bundle.T)
         lam2 = m.schedule.lam ** 2
         dec = bundle.decomposition
-        assert dec.jump_map.tobytes() == (lam2 * jump).tobytes()
         assert bundle.heisenberg.tobytes() == lindblad_superop(
             dec.effective_hamiltonian(), lam2 * decay, lam2 * jump).tobytes()
 
     def test_jump_map_completely_positive(self):
-        bundle = dephasing_bundle()
-        assert is_psd(choi_matrix(bundle.decomposition.jump_map)).ok
+        assert is_psd(choi_matrix(jump_map(dephasing_bundle(), SZ, SX))).ok
 
     def test_hamiltonian_pieces_hermitian_in_image(self):
         bundle = dephasing_bundle()
@@ -235,6 +253,71 @@ class TestBuildGenerator:
         b = build_generator(sub, SZ, 2.0 * SX, sched_b)
         assert max_abs(a.heisenberg - b.heisenberg) < 1e-10
         assert max_abs(a.decomposition.h_first - b.decomposition.h_first) < 1e-12
+
+
+def reachable_superops(obj, dd):
+    """The ids of the dd x dd arrays reachable from obj through instance
+    attributes (cached properties included) and containers."""
+    seen, found, stack = set(), set(), [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            if x.shape == (dd, dd):
+                found.add(id(x))
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        elif hasattr(x, "__dict__"):
+            stack.extend(vars(x).values())
+    return found
+
+
+class TestResidency:
+    """A bundle holds each generator once: G_H, next to the subsystem's
+    P0, and nothing else of size d^2 x d^2."""
+
+    def setup_method(self):
+        m = PRESETS["qubit-gibbs"].builder()
+        self.sub = build_projection(partial_trace_family(m.dim_A,
+                                                         m.bath_state()))
+        self.H0, self.Hp = m.full_hamiltonian_parts()
+        self.sched = m.schedule
+        assert self.sub.dim == 8
+
+    def test_only_p0_and_heisenberg_resident(self):
+        bundle = build_generator(self.sub, self.H0, self.Hp, self.sched)
+        dd = bundle.dim ** 2
+        resident = {id(self.sub.heisenberg), id(bundle.heisenberg)}
+        assert reachable_superops(bundle, dd) == resident
+        first, second = bundle.schrodinger, bundle.schrodinger
+        assert first.tobytes() == second.tobytes()
+        assert first is not second and not np.shares_memory(first, second)
+        assert reachable_superops(bundle, dd) == resident
+
+    def test_heisenberg_read_only(self):
+        bundle = build_generator(self.sub, self.H0, self.Hp, self.sched)
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.heisenberg[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.heisenberg *= 2.0
+
+    def test_assembly_memory_budget(self):
+        # the generator is assembled over the jump it is handed: above
+        # its inputs it needs two d^3 blocks and the checks' work
+        d = self.sub.dim
+        prepared = generator_module.PreparedGenerator(self.sub, self.H0,
+                                                      self.Hp)
+        T = T_of_lambda(self.sched)
+        _, shift, decay, jump = generator_module._kt_pieces(
+            self.sub, prepared.h0_eig, prepared.Hp, T)
+        assert traced_peak(generator_module.GeneratorBundle.at_coupling,
+                           self.sched, self.sub, T, prepared.h_free,
+                           self.sched.lam * prepared.h_first, shift, decay,
+                           jump) < 1.25 * superop_bytes(d)
 
 
 def _k_t_oracle_loop(sub, H0, Hp, T, n_points=1601, half_width=8.0):
@@ -328,6 +411,15 @@ class TestOracle:
             X = sub.project(random_hermitian(rng, 2))
             out = devectorize(K_orc @ vectorize(X), 2)
             assert max_abs(out - out.conj().T) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(1601, 64, 4), (1601, 16, 4), (3,),
+                                       (4,), (7, 3), (1601,)])
+    def test_cumulative_simpson_matches_scipy_bytes(self, shape, rng):
+        y = with_signed_zeros(rng, rng.standard_normal(shape)).real
+        h = 16.0 / 1600
+        ref = cumulative_simpson(y, dx=h, axis=0, initial=0)
+        assert generator_module._cumulative_simpson(y, h).tobytes() \
+            == ref.tobytes()
 
     def test_rejects_large_dimension(self):
         w = gibbs_state(np.diag(np.linspace(0.0, 1.0, 8)), 1.0)
@@ -470,13 +562,22 @@ class TestExport:
         export_bundle(bundle, out)
         assert calls == []  # the manifest reads rank P0 = Tr P0
         names = {"h_free.mat", "h_first.mat", "h_lamb.mat", "decay.mat",
-                 "jump_map.mat", "heisenberg.mat", "schrodinger.mat",
-                 "manifest.txt", "kraus.mat"}
-        assert names.issubset(set(os.listdir(out)))
-        with open(out / "heisenberg.mat", encoding="ascii") as fh:
-            M = matrix_from_text(fh.read())
+                 "heisenberg.mat", "schrodinger.mat", "manifest.txt",
+                 "kraus.mat"}
+        assert set(os.listdir(out)) == names
+
+        def read(name):
+            with open(out / f"{name}.mat", encoding="ascii") as fh:
+                return matrix_from_text(fh.read())
+        M = read("heisenberg")
         np.testing.assert_allclose(M, bundle.heisenberg, atol=0)
+        # the jump map is G_H - i[H_eff, .] + (1/2){A, .} of the pieces
+        h_eff = read("h_free") + read("h_first") + read("h_lamb")
+        psi = M - lindblad_superop(h_eff, read("decay"), np.zeros_like(M))
+        np.testing.assert_allclose(psi, jump_map(bundle, SZ, SX), atol=1e-15)
         manifest = (out / "manifest.txt").read_text()
+        assert "pieces = h_free h_first h_lamb decay heisenberg " \
+            "schrodinger\n" in manifest
         assert "lambda = 1" in manifest
         assert "dim = 2" in manifest
         assert "commutant_dim = 2\n" in manifest

@@ -1,5 +1,6 @@
 """The import graph of a run: scipy.integrate is loaded by the
-independent oracles on first call, never by ``import cglind.cli``."""
+quadrature oracles on first call, never by ``import cglind.cli`` or by
+the time-domain oracle ``k_t_oracle``."""
 
 import os
 import subprocess
@@ -15,23 +16,28 @@ import cglind, cglind.cli
 assert "scipy.integrate" not in sys.modules, "cglind.cli loaded scipy.integrate"
 """
 
-ORACLES_AFTER_FRESH_IMPORT = """
+K_T_ORACLE_AFTER_FRESH_IMPORT = """
 import sys
 import numpy as np
-from cglind.coarsegrain import pv_gaussian, pv_gaussian_quadrature
 from cglind.generator import assemble_kt, k_t_oracle
 from cglind.linalg import hermitian_eig
 from cglind.subsystem import build_projection, sector_family
-assert "scipy.integrate" not in sys.modules
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 sub = build_projection(sector_family([1, 1]))
 K_orc = k_t_oracle(sub, SZ, SX, 1.0)
-assert "scipy.integrate" in sys.modules
+assert "scipy.integrate" not in sys.modules, "k_t_oracle loaded scipy.integrate"
 K_asm, *_ = assemble_kt(sub, hermitian_eig(SZ), SX, 1.0)
 assert np.max(np.abs(K_orc - K_asm @ sub.heisenberg)) < 1e-6
+"""
+
+QUADRATURE_ORACLE_AFTER_FRESH_IMPORT = """
+import sys
+from cglind.coarsegrain import pv_gaussian, pv_gaussian_quadrature
+assert "scipy.integrate" not in sys.modules
 dawson = float(pv_gaussian(0.7, 2.0))
 assert abs(pv_gaussian_quadrature(0.7, 2.0) - dawson) <= 1e-8 * abs(dawson)
+assert "scipy.integrate" in sys.modules
 """
 
 
@@ -47,6 +53,12 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_k_t_oracle_leaves_out_scipy_integrate():
+    proc = run_fresh(K_T_ORACLE_AFTER_FRESH_IMPORT)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_oracles_import_scipy_integrate_on_first_call():
-    proc = run_fresh(ORACLES_AFTER_FRESH_IMPORT)
+    # the quadrature oracles; k_t_oracle carries its own Simpson rule
+    proc = run_fresh(QUADRATURE_ORACLE_AFTER_FRESH_IMPORT)
     assert proc.returncode == 0, proc.stderr
