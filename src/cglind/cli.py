@@ -67,7 +67,9 @@ from . import __version__
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda
 from .generator import PreparedGenerator, SteadyStateResult, evolve, \
     qds_certificate, steady_state
-from .linalg import ExpmScaleError, choi_matrix, expm, is_psd, matrix_from_text
+# expm itself is not called here; perfbench's tracer test reads cli.expm
+from .linalg import ExpmScaleError, choi_matrix, expm, expm_grid, is_psd, \
+    matrix_from_text
 from .scenarios import (
     PRESETS,
     HeatBathModel,
@@ -344,7 +346,8 @@ def _run_lambda(cfg: ScenarioConfig, lam: float, general: PreparedGenerator,
     # Full-space Choi test up to FULL_CHOI_DIM_LIMIT (parse_config caps
     # sector scenarios there), else the reduced channel on the system algebra
     S = (gen_bundle if gen_bundle.dim <= FULL_CHOI_DIM_LIMIT else bundle).schrodinger
-    choi_min = np.array([is_psd(choi_matrix(expm(t * S))).min_eig for t in times])
+    choi_min = np.array([is_psd(choi_matrix(prop)).min_eig
+                         for prop in expm_grid(S, times)])
 
     cert = qds_certificate(bundle, rng=cfg.seed)
     values = ((f.name, getattr(cert, f.name)) for f in dataclasses.fields(cert))

@@ -17,8 +17,9 @@ wrapper classes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "require_square",
     "hermitian_eig",
     "expm",
+    "expm_grid",
     "ExpmScaleError",
     "vectorize",
     "devectorize",
@@ -54,9 +56,11 @@ HERMITICITY_RTOL = 1e-12
 PSD_SLACK = 1e-9
 
 # Taylor core of expm: series order and the 1-norm the argument is
-# scaled below.
+# scaled below.  expm_grid keeps at most as many propagators as one expm
+# call holds arrays (argument, identity, accumulator, product buffer).
 EXPM_TAYLOR_ORDER = 18
 EXPM_SCALE_TARGET = 0.5
+EXPM_GRID_KEPT = 4
 
 # numpy copies a broadcast or transposed operand of an elementwise op
 # into a buffer as large as the op (up to 8192 elements); the streamed
@@ -137,6 +141,13 @@ class ExpmScaleError(ValueError):
     """An ``expm`` argument whose 1-norm needs more than 64 squarings."""
 
 
+def _squarings(M: np.ndarray) -> tuple:
+    """(||M||_1, s): expm scales M by 2**-s and squares s times."""
+    norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if M.shape[0] else 0.0
+    ratio = norm1 / EXPM_SCALE_TARGET
+    return norm1, max(0, math.ceil(math.log2(ratio))) if ratio else 0
+
+
 def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a fixed-order
     Taylor core.
@@ -152,23 +163,27 @@ def expm(M: np.ndarray) -> np.ndarray:
     Scaling by a power of two is exact and scales every rounding, so
     each product, sum and quotient has the same bits either way, as long
     as no entry of B or of a partial product falls into the subnormal
-    range.  Three work arrays (the identity, the accumulator and one
-    product buffer) are allocated once; the squarings swap the last two.
+    range.  The first step divides M itself: M @ 1 is M up to the signs
+    of zeros, which 1 + . erases.  If 2M takes one squaring more than M,
+    it scales to the same B, so expm(2M) is expm(M) @ expm(M) to the bit
+    (the grid rule of :func:`expm_grid`, on the same no-subnormal
+    assumption).  Three work arrays (the identity, the accumulator and
+    one product buffer) are allocated once; the squarings swap the last
+    two.
     """
     M = require_square(M, "expm argument")
     d = M.shape[0]
-    norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if d else 0.0
+    norm1, n_square = _squarings(M)
     if norm1 == 0.0:
         return np.eye(d, dtype=complex)
-    n_square = max(0, int(math.ceil(math.log2(norm1 / EXPM_SCALE_TARGET))))
     if n_square > 64:
         raise ExpmScaleError(
             f"expm argument norm {norm1:.3e} too large to scale")
     scale = 2.0 ** n_square
     eye = np.eye(d, dtype=complex)
-    acc = eye.copy()
-    tmp = np.empty_like(acc)
-    for k in range(EXPM_TAYLOR_ORDER, 0, -1):
+    acc, tmp = np.empty_like(eye), np.empty_like(eye)
+    np.add(eye, np.divide(M, EXPM_TAYLOR_ORDER * scale, out=tmp), out=acc)
+    for k in range(EXPM_TAYLOR_ORDER - 1, 0, -1):
         np.matmul(M, acc, out=tmp)
         np.divide(tmp, k * scale, out=tmp)
         np.add(eye, tmp, out=acc)
@@ -176,6 +191,30 @@ def expm(M: np.ndarray) -> np.ndarray:
         np.matmul(acc, acc, out=tmp)
         acc, tmp = tmp, acc
     return acc
+
+
+def expm_grid(M: np.ndarray, times) -> Iterator[np.ndarray]:
+    """Yield ``expm(t * M)`` for each t of ``times`` in order, byte for
+    byte.  A repeated time reuses its propagator; t = 2u squares exp(uM)
+    when tM takes one squaring more than uM (the grid rule of ``expm``);
+    every other time calls ``expm``, which raises where a loop of it
+    would.  At most EXPM_GRID_KEPT propagators whose time or double is
+    still ahead are kept."""
+    times = list(times)
+    ahead, kept = Counter(times), {}
+    for t in times:
+        ahead[t] -= 1
+        if t in kept:
+            E = kept[t]
+        elif t / 2 in kept and \
+                _squarings(t * M)[1] == _squarings(t / 2 * M)[1] + 1 <= 64:
+            E = kept[t / 2] @ kept[t / 2]
+        else:
+            E = expm(t * M)
+        kept = {u: P for u, P in kept.items() if ahead[u] or ahead[2 * u]}
+        if len(kept) < EXPM_GRID_KEPT and (ahead[t] or ahead[2 * t]):
+            kept[t] = E
+        yield E
 
 
 def vectorize(X: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from .generator import GeneratorBundle, PreparedGenerator, \
     SteadyStateResult, build_generator, steady_state
 from .linalg import (
     devectorize,
-    expm,
+    expm_grid,
     hermitian_eig,
     hermitize,
     max_abs,
@@ -498,13 +498,13 @@ def projected_error_curve(bundle: GeneratorBundle, H0: np.ndarray,
     evals, evecs = np.linalg.eigh(H0 + lam * Hp)
     times = np.asarray(list(times), dtype=float)
     errors = np.empty(len(times))
-    for idx, t in enumerate(times):
+    for idx, (t, prop) in enumerate(zip(times, expm_grid(g, times))):
         U = evecs @ np.diag(np.exp(1j * evals * t)) @ evecs.conj().T
         cols = np.empty((d * d, k), dtype=complex)
         for j, Xj in enumerate(Bmats):
             cols[:, j] = vectorize(U @ Xj @ U.conj().T)
         w = B.conj().T @ (sub.heisenberg @ cols)
-        errors[idx] = operator_norm(w - expm(t * g))
+        errors[idx] = operator_norm(w - prop)
     return errors
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     with_signed_zeros,
 )
 import cglind.generator as generator_module
+import cglind.linalg as linalg_module
 import cglind.subsystem as subsystem_module
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
 from cglind.generator import (
@@ -28,6 +30,7 @@ from cglind.generator import (
     steady_state,
 )
 from cglind.linalg import (
+    EXPM_SCALE_TARGET,
     choi_matrix,
     devectorize,
     expm,
@@ -509,23 +512,54 @@ def _trace_norm_growth_loop(bundle, times, rng, n_state_samples):
     return growth
 
 
+def _squarings(M):
+    """Squarings of expm's scaling rule, from the 1-norm of M."""
+    norm1 = float(np.max(np.sum(np.abs(M), axis=0)))
+    return max(0, math.ceil(math.log2(norm1 / EXPM_SCALE_TARGET)))
+
+
+def _count_expm(monkeypatch):
+    """List that records every exponential formed, direct or on a grid."""
+    calls = []
+
+    def counting_expm(M):
+        calls.append(M.shape)
+        return expm(M)
+
+    monkeypatch.setattr(generator_module, "expm", counting_expm)
+    monkeypatch.setattr(linalg_module, "expm", counting_expm)
+    return calls
+
+
 class TestCertificate:
     def test_one_quotient_propagator_per_time(self, rng, monkeypatch):
         sub, H0, Hp = oblique_heat_bath(rng)
         bundle = build_generator(sub, H0, Hp, CoarseGrainSchedule(0.3, 1.0, 1.0))
         times = (0.1, 1.0, 10.0, 100.0)
-        calls = []
-
-        def counting_expm(M):
-            calls.append(M.shape)
-            return expm(M)
-
-        monkeypatch.setattr(generator_module, "expm", counting_expm)
+        calls = _count_expm(monkeypatch)
         cert = qds_certificate(bundle, times, rng=7)
         # Schrödinger, Heisenberg, restricted and quotient propagators per
-        # time, plus one per composition pair s <= t
-        assert len(calls) == 4 * len(times) + len(times) * (len(times) + 1) // 2
+        # time, plus one per composition pair s <= t, except the sums 2t
+        # that take one squaring more than t: those square exp(tG)
+        S = bundle.schrodinger
+        squared = [t for t in times
+                   if _squarings(2 * t * S) == _squarings(t * S) + 1]
+        assert squared  # at least one sum is a square
+        assert len(calls) == (4 * len(times) + len(times) * (len(times) + 1) // 2
+                              - len(squared))
         assert cert.trace_norm_growth == _trace_norm_growth_loop(bundle, times, 7, 3)
+
+    def test_equal_time_composition_is_bitwise(self, rng):
+        # exp(2tG) takes one squaring more than exp(tG) and shares its
+        # Taylor core, so it is exp(tG) @ exp(tG) to the bit: the
+        # certificate's s = t composition pairs deviate by exactly 0
+        sub, H0, Hp = oblique_heat_bath(rng)
+        bundle = build_generator(sub, H0, Hp, CoarseGrainSchedule(0.3, 1.0, 1.0))
+        S = bundle.schrodinger
+        for t in (1.0, 10.0, 100.0):
+            assert _squarings(2 * t * S) == _squarings(t * S) + 1
+            prop = expm(t * S)
+            assert expm(2 * t * S).tobytes() == (prop @ prop).tobytes()
 
     def test_pure_commutator_unitary_propagator(self):
         cert = qds_certificate(commutator_bundle(), (0.1, 1.0, 10.0))
@@ -542,6 +576,22 @@ class TestCertificate:
         # would be reported as failed
         with pytest.raises(ValueError, match=r"negative time -0\.5: "):
             qds_certificate(dephasing_bundle(), (0.1, -0.5, 1.0))
+
+    def test_evolve_squares_doubled_times(self, rng, monkeypatch):
+        # on 0..10 only t = 0 and the odd times are formed; every even
+        # time is an earlier propagator squared, with the loop's bytes
+        sub, H0, Hp = oblique_heat_bath(rng)
+        bundle = build_generator(sub, H0, Hp, CoarseGrainSchedule(0.3, 1.0, 1.0))
+        rho = sub.project_state(random_density(rng, 4))
+        rho = hermitize(rho) / np.trace(rho).real
+        times = np.linspace(0.0, 10.0, 11)
+        calls = _count_expm(monkeypatch)
+        traj = evolve(bundle, rho, times)
+        assert len(calls) == 6
+        Q = bundle.quotient_schrodinger
+        for t, X in zip(times, traj.states):
+            want = devectorize(expm(t * Q) @ vectorize(rho), 4)
+            assert X.tobytes() == want.tobytes()
 
     def test_time_zero_choi_rank_one(self):
         bundle = dephasing_bundle()

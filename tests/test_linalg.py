@@ -1,4 +1,6 @@
 import math
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,14 +13,17 @@ from conftest import (
     traced_peak,
     with_signed_zeros,
 )
+from cglind.cli import _times_for
 from cglind.generator import lindblad_superop
 from cglind.linalg import (
+    EXPM_GRID_KEPT,
     EXPM_SCALE_TARGET,
     EXPM_TAYLOR_ORDER,
     ExpmScaleError,
     choi_matrix,
     devectorize,
     expm,
+    expm_grid,
     hermitian_eig,
     hermitize,
     is_psd,
@@ -152,6 +157,75 @@ class TestExpm:
         M = _with_norm1(rng.standard_normal((n, n))
                         + 1j * rng.standard_normal((n, n)), 40.0)
         assert traced_peak(expm, M) <= 3 * superop_bytes(BUDGET_DIM) + 4096
+
+
+CERT_TIMES = (0.1, 1.0, 10.0, 100.0)
+
+
+class TestExpmGrid:
+    # 0..10; the certificate's times and their pairwise sums; a grid
+    # with repeated times; an auto-mode grid whose last point is not
+    # bitwise twice its middle one
+    AUTO = _times_for(SimpleNamespace(time_mode="auto", tau_bar=0.3,
+                                      t_count=21), 0.3)
+    GRIDS = (
+        np.linspace(0.0, 10.0, 11),
+        [*CERT_TIMES, *(s + t for i, s in enumerate(CERT_TIMES)
+                        for t in CERT_TIMES[i:])],
+        [0.0, 1.0, 1.0, 2.0, 0.5, 1.0, 4.0, 2.0, 0.0],
+        AUTO,
+    )
+
+    def test_auto_grid_is_not_doubled(self):
+        assert self.AUTO[20] != 2 * self.AUTO[10]
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_expm_loop_bytes(self, d, rng):
+        # the draws of TestExpm's byte test; at the larger norms the
+        # general draws overflow, and inf and nan must agree too
+        for n_square in range(15):
+            G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for M in (G, 1j * (G + G.conj().T)):
+                M = _with_norm1(with_signed_zeros(rng, M), 0.4 * 2.0 ** n_square)
+                for times in self.GRIDS:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        got = [E.tobytes() for E in expm_grid(M, times)]
+                        want = [expm(t * M).tobytes() for t in times]
+                    assert got == want
+
+    def test_drops_propagators_no_later_time_needs(self, rng):
+        M = _with_norm1(rng.standard_normal((3, 3)) + 0j, 1.0)
+        grid = expm_grid(M, [1.0, 3.0, 2.0, 5.0])
+        one = weakref.ref(next(grid))
+        next(grid)
+        assert one() is not None  # its double 2 is ahead
+        next(grid)
+        assert one() is None
+
+    def test_keeps_a_bounded_number_of_propagators(self, rng):
+        # on 0..39 every t < 20 has its double ahead; besides the one
+        # just yielded, at most EXPM_GRID_KEPT propagators stay alive
+        M = _with_norm1(rng.standard_normal((3, 3)) + 0j, 1.0)
+        times, refs = np.arange(40.0), []
+        for t, E in zip(times, expm_grid(M, times)):
+            assert E.tobytes() == expm(t * M).tobytes()
+            refs.append(weakref.ref(E))
+            del E
+            assert sum(r() is not None for r in refs) <= EXPM_GRID_KEPT + 1
+
+    def test_raises_past_squaring_budget_at_same_time(self, rng):
+        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        M = _with_norm1(1j * (G + G.conj().T), 1.0)
+        times = [2.0 ** k for k in range(70)]
+        got, want = [], []
+        with pytest.raises(ExpmScaleError, match="too large to scale"):
+            for E in expm_grid(M, times):
+                got.append(E.tobytes())
+        with pytest.raises(ExpmScaleError, match="too large to scale"):
+            for t in times:
+                want.append(expm(t * M).tobytes())
+        assert 60 < len(got) < len(times)
+        assert got == want
 
 
 class TestVectorization:
