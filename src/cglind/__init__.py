@@ -15,7 +15,6 @@ from .generator import (
     LindbladDecomposition,
     build_generator,
     evolve,
-    export_bundle,
     k_t_oracle,
     qds_certificate,
     steady_state,
@@ -44,7 +43,6 @@ __all__ = [
     "coarse_grained_L",
     "commutant",
     "evolve",
-    "export_bundle",
     "expm",
     "hermitian_eig",
     "is_psd",

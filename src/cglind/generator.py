@@ -20,7 +20,6 @@ states is the image-restricted (quotient) action.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -30,16 +29,15 @@ import numpy as np
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda, coarse_grained_L, \
     lamb_shift
 from .linalg import (
-    ELEMENTWISE_CHUNK,
     PSD_SLACK,
     choi_matrix,
     devectorize,
     expm,
     expm_grid,
+    from_real_basis,
     hermitian_eig,
     hermitize,
     is_psd,
-    matrix_to_text,
     max_abs,
     numerical_nullity,
     operator_norm,
@@ -47,10 +45,11 @@ from .linalg import (
     require_square,
     sandwich_superop,
     trace_norm,
+    to_real_basis,
     trace_pairing_adjoint,
     vectorize,
 )
-from .subsystem import PhysicalSubsystem, kraus_to_text
+from .subsystem import PhysicalSubsystem
 
 __all__ = [
     "LindbladDecomposition",
@@ -66,7 +65,6 @@ __all__ = [
     "evolve",
     "qds_certificate",
     "steady_state",
-    "export_bundle",
 ]
 
 
@@ -182,9 +180,10 @@ def _add_lindblad_terms(hamiltonian: np.ndarray, decay: np.ndarray,
     products np.kron forms, combined in the same order and added to the
     jump last, hence the bits of the Kronecker assembly.  An identity
     factor, 0 or 1, makes each product exact, so the commutator pair is
-    copied whole-block from 0 H, 1 H, 0 H^T[i] and 1 H^T[i].  The decay
-    pair is formed a few columns j at a time (numpy buffers both factors
-    of a broadcast product), so the work memory is two d^3 blocks.
+    copied whole-block from 0 H, 1 H, 0 H^T[i] and 1 H^T[i], and the first
+    decay product from 0 A and 1 A.  The second, 0 A^T[i] off the diagonal
+    k = l, is added as a broadcast row in halves (numpy buffers such an
+    operand at the op's size) and the diagonal sums are put back.
     """
     H = require_square(hamiltonian, "commutator generator")
     A = require_square(decay, "anticommutator generator")
@@ -194,10 +193,7 @@ def _add_lindblad_terms(hamiltonian: np.ndarray, decay: np.ndarray,
         raise ValueError(
             f"incompatible Lindblad pieces: hamiltonian {H.shape}, "
             f"decay {A.shape}, jump {jump.shape}")
-    eye = np.eye(d, dtype=complex)
     comm, anti = np.empty((2, d, d, d), dtype=complex)
-    step = min(d, max(1, ELEMENTWISE_CHUNK // (d * d)))
-    work = np.empty((d, step, d), dtype=complex)
     zero_h, one_h, diag = 0j * H, (1 + 0j) * H, np.arange(d)
     for i, blk in enumerate(np.reshape(jump, (d, d, d, d), copy=False)):
         comm[...] = zero_h[:, None, :]
@@ -205,12 +201,12 @@ def _add_lindblad_terms(hamiltonian: np.ndarray, decay: np.ndarray,
         anti[...] = (0j * H.T[i])[None, :, None]
         anti[diag, :, diag] = (1 + 0j) * H.T[i]
         np.subtract(comm, anti, out=comm)
-        for j in range(0, d, step):
-            js = slice(j, j + step)
-            a, w = anti[:, js], work[:, :min(step, d - j)]
-            np.multiply(eye[i, js, None], A[:, None, :], out=a)
-            np.multiply(A.T[i, js, None], eye[:, None, :], out=w)
-            np.add(a, w, out=a)
+        anti[...] = (0j * A)[:, None, :]
+        anti[:, i] = (1 + 0j) * A
+        on_diag = anti[diag, :, diag] + (1 + 0j) * A.T[i]
+        for half in (anti[:d // 2], anti[d // 2:]):
+            np.add(half, (0j * A.T[i])[None, :, None], out=half)
+        anti[diag, :, diag] = on_diag
         np.multiply(1j, comm, out=comm)
         np.multiply(0.5, anti, out=anti)
         np.subtract(comm, anti, out=comm)
@@ -478,9 +474,14 @@ class QdsCertificate:
     unitality_dev: np.ndarray
     trace_preservation_dev: np.ndarray
     restricted_heis_norm: np.ndarray
-    semigroup_dev: float
-    trace_norm_growth: float
+    semigroup_dev: Optional[float]
+    trace_norm_growth: Optional[float]
+    real_basis_imag: float
+    real_basis_imag_bound: float
     passed: bool
+
+
+REAL_BASIS_IMAG_C = 4.0  # c of the c n u bound in qds_certificate
 
 
 def qds_certificate(bundle: GeneratorBundle,
@@ -498,64 +499,90 @@ def qds_certificate(bundle: GeneratorBundle,
     propagator is reported (not asserted; it is a Hilbert-Schmidt
     proxy, not the algebra norm).  A negative time raises ValueError.
 
+    The full-space propagators are real: they are formed in the Hermitian
+    basis of linalg.to_real_basis (the coherence vectors of Alicki and
+    Lendi, LNP 286, 1987).  The trace pairing is the Hilbert-Schmidt
+    product there, so the real G_S is (V^dagger G_H V)^T, the Heisenberg
+    propagator is the Schrödinger one transposed, and the unitality and
+    trace-preservation rows check one fact; G_H(1) = 0, asserted in
+    GeneratorBundle.at_coupling, is the independent check.  Witnesses are
+    read in matrix units, after the transform back.  The imaginary parts
+    of V^dagger G_H V and of the transformed quotient Q are roundoff of
+    products of inner dimension n = d^2 (P0 with the sandwich in G_H, P0*
+    with G_S in Q); above REAL_BASIS_IMAG_C n u (max|G_H| + max|Q|), with
+    u = 2^-53 and real-basis maxima, the check fails.
+
     A pair s = t tests nothing when 2tG takes one squaring more than tG
     (about ||2tG||_1 > 1/2): scaling and squaring then forms exp(2tG) as
-    exp(tG) @ exp(tG) to the bit, and the deviation is exactly 0.
+    exp(tG) @ exp(tG) to the bit, and the deviation is exactly 0.  A
+    propagator that overflows fails each check that reads it: its
+    witnesses are None, and the maxima propagate nan.
     """
     rng = np.random.default_rng(rng)
     times = _semigroup_times(time_samples)
     d = bundle.dim
-    eye_vec = vectorize(np.eye(d))
-
+    eye_vec = vectorize(np.eye(d)).real  # also its real-basis coordinates
+    heis, imag_h = to_real_basis(bundle.heisenberg)
+    quotient, imag_q = to_real_basis(bundle.quotient_schrodinger)
+    imag_bound = REAL_BASIS_IMAG_C * d * d * 2.0 ** -53 \
+        * (max_abs(heis) + max_abs(quotient))
     g_restricted = bundle.restricted_heisenberg()
-    quotient = bundle.quotient_schrodinger
-    schrodinger = bundle.schrodinger
 
     pairs = [(s, t) for i, s in enumerate(times) for t in times[i:]]
-    schr = expm_grid(schrodinger, [*times, *(s + t for s, t in pairs)])
-    schr_props = {float(t): next(schr) for t in times}
-    choi_min, unit_dev, tp_dev, rnorm = [], [], [], []
-    for t in times:
-        prop_s = schr_props[float(t)]
-        choi_min.append(is_psd(choi_matrix(prop_s)).min_eig)
-        prop_h = expm(t * bundle.heisenberg)
-        unit_dev.append(max_abs(prop_h @ eye_vec - eye_vec))
-        tp_dev.append(max_abs(eye_vec.conj() @ prop_s - eye_vec.conj()))
-        rnorm.append(operator_norm(expm(t * g_restricted)))
+    choi_min, unit_dev, tp_dev, rnorm, growth = [], [], [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        schr = expm_grid(np.ascontiguousarray(heis.T),
+                         [*times, *(s + t for s, t in pairs)])
+        props = {float(t): next(schr) for t in times}
+        for t in times:
+            P, E = props[float(t)], expm(t * g_restricted)
+            choi_min.append(_if_finite(P, lambda: is_psd(
+                choi_matrix(from_real_basis(P))).min_eig))
+            # a real-basis row f has the entry moduli of V f in matrix units
+            unit_dev.append(max_abs(from_real_basis(P.T @ eye_vec - eye_vec)))
+            tp_dev.append(max_abs(from_real_basis(eye_vec @ P - eye_vec)))
+            rnorm.append(_if_finite(E, lambda: operator_norm(E)))
+        semi_dev = np.max([max_abs(from_real_basis(
+            lhs - props[float(s)] @ props[float(t)]))
+            for (s, t), lhs in zip(pairs, schr)], initial=0.0)
 
-    semi_dev = 0.0
-    for (s, t), lhs in zip(pairs, schr):
-        rhs = schr_props[float(s)] @ schr_props[float(t)]
-        semi_dev = max(semi_dev, max_abs(lhs - rhs))
+        quotient_props = list(expm_grid(quotient, times))
+        for _ in range(3):
+            G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            rho = bundle.subsystem.project_state(G @ G.conj().T)
+            rho = hermitize(rho) / np.trace(rho).real
+            base, x = trace_norm(rho), to_real_basis(vectorize(rho))[0]
+            for Q in quotient_props:
+                growth.append(_if_finite(Q, lambda: trace_norm(
+                    devectorize(from_real_basis(Q @ x), d)) - base))
+        growth = np.max(growth, initial=0.0)
+        passed = bool(
+            np.all(np.array(choi_min) >= -PSD_SLACK * (1.0 + d))
+            and np.all(np.array(unit_dev) <= 1e-10)
+            and np.all(np.array(tp_dev) <= 1e-9)
+            and semi_dev <= 1e-9 and growth <= 1e-9
+            and max(imag_h, imag_q) <= imag_bound
+        )
+    return QdsCertificate(times=times, choi_min_eig=_finite(choi_min),
+                          unitality_dev=_finite(unit_dev),
+                          trace_preservation_dev=_finite(tp_dev),
+                          restricted_heis_norm=_finite(rnorm),
+                          semigroup_dev=_finite(semi_dev),
+                          trace_norm_growth=_finite(growth),
+                          real_basis_imag=max(imag_h, imag_q),
+                          real_basis_imag_bound=imag_bound, passed=passed)
 
-    quotient_props = list(expm_grid(quotient, times))
-    growth = 0.0
-    for _ in range(3):
-        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho = bundle.subsystem.project_state(G @ G.conj().T)
-        rho = hermitize(rho) / np.trace(rho).real
-        base = trace_norm(rho)
-        for prop_q in quotient_props:
-            evolved = devectorize(prop_q @ vectorize(rho), d)
-            growth = max(growth, trace_norm(evolved) - base)
 
-    choi_min = np.array(choi_min)
-    unit_dev = np.array(unit_dev)
-    tp_dev = np.array(tp_dev)
-    passed = bool(
-        np.all(choi_min >= -PSD_SLACK * (1.0 + d))
-        and np.all(unit_dev <= 1e-10)
-        and np.all(tp_dev <= 1e-9)
-        and semi_dev <= 1e-9
-        and growth <= 1e-9
-    )
-    return QdsCertificate(times=times, choi_min_eig=choi_min,
-                          unitality_dev=unit_dev,
-                          trace_preservation_dev=tp_dev,
-                          restricted_heis_norm=np.array(rnorm),
-                          semigroup_dev=semi_dev,
-                          trace_norm_growth=growth,
-                          passed=passed)
+def _if_finite(M: np.ndarray, witness) -> float:
+    """witness(), or nan if M is not finite (is_psd and SVDs reject it)."""
+    return witness() if np.all(np.isfinite(M)) else np.nan
+
+
+def _finite(x):
+    """A witness, or an array of a list of them, with inf and nan as None."""
+    if isinstance(x, list):
+        return np.array([_finite(v) for v in x])
+    return float(x) if np.isfinite(x) else None
 
 
 @dataclass
@@ -606,39 +633,3 @@ def steady_state(bundle: GeneratorBundle) -> SteadyStateResult:
     if min_eig < -1e-9:
         notes.append(f"normalized null state not PSD (min eig {min_eig:.3e})")
     return SteadyStateResult(rho, 1, gap, bool(notes), note="; ".join(notes))
-
-
-def export_bundle(bundle: GeneratorBundle, directory) -> None:
-    """Write the Lindblad pieces as interchange-format matrices plus a
-    plain-text manifest (schedule, dims, subsystem descriptor).  Its
-    ``commutant_dim`` is rank P0 = round(Re Tr P0), which a checked build
-    proves equal to the commutant dimension.  The jump map is not
-    written: it is G_H - i[H_eff, .] + (1/2){A, .} of the pieces."""
-    os.makedirs(directory, exist_ok=True)
-    dec = bundle.decomposition
-    pieces = {
-        "h_free.mat": dec.h_free,
-        "h_first.mat": dec.h_first,
-        "h_lamb.mat": dec.h_lamb,
-        "decay.mat": dec.decay,
-        "heisenberg.mat": bundle.heisenberg,
-        "schrodinger.mat": bundle.schrodinger,
-    }
-    for name, M in pieces.items():
-        with open(os.path.join(directory, name), "w", encoding="ascii") as fh:
-            fh.write(matrix_to_text(M))
-    sched = bundle.schedule
-    lines = [
-        f"dim = {bundle.dim}",
-        f"lambda = {sched.lam:.17g}",
-        f"xi = {sched.xi:.17g}",
-        f"T_ref = {sched.T_ref:.17g}",
-        f"T = {bundle.T:.17g}",
-        f"kraus_count = {len(bundle.subsystem.operators)}",
-        f"commutant_dim = {round(np.trace(bundle.subsystem.heisenberg).real)}",
-        "pieces = h_free h_first h_lamb decay heisenberg schrodinger",
-    ]
-    with open(os.path.join(directory, "manifest.txt"), "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(directory, "kraus.mat"), "w", encoding="ascii") as fh:
-        fh.write(kraus_to_text(bundle.subsystem))

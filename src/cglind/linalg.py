@@ -36,6 +36,8 @@ __all__ = [
     "expm",
     "expm_grid",
     "ExpmScaleError",
+    "to_real_basis",
+    "from_real_basis",
     "vectorize",
     "devectorize",
     "sandwich_superop",
@@ -47,7 +49,6 @@ __all__ = [
     "trace_distance",
     "image_basis",
     "numerical_nullity",
-    "matrix_to_text",
     "matrix_from_text",
 ]
 
@@ -78,11 +79,12 @@ def max_abs(M: np.ndarray) -> float:
     return float(np.max(np.abs(M)))
 
 
-def require_square(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
+def require_square(M: np.ndarray, name: str = "matrix",
+                   dtype=complex) -> np.ndarray:
+    M = np.asarray(M, dtype=dtype)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
+    if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -169,18 +171,20 @@ def expm(M: np.ndarray) -> np.ndarray:
     (the grid rule of :func:`expm_grid`, on the same no-subnormal
     assumption).  Three work arrays (the identity, the accumulator and
     one product buffer) are allocated once; the squarings swap the last
-    two.
+    two.  A real argument keeps a real dtype, so its products are real;
+    any other is cast to complex.
     """
-    M = require_square(M, "expm argument")
+    M = require_square(M, "expm argument",
+                       float if np.isrealobj(M) else complex)
     d = M.shape[0]
     norm1, n_square = _squarings(M)
     if norm1 == 0.0:
-        return np.eye(d, dtype=complex)
+        return np.eye(d, dtype=M.dtype)
     if n_square > 64:
         raise ExpmScaleError(
             f"expm argument norm {norm1:.3e} too large to scale")
     scale = 2.0 ** n_square
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d, dtype=M.dtype)
     acc, tmp = np.empty_like(eye), np.empty_like(eye)
     np.add(eye, np.divide(M, EXPM_TAYLOR_ORDER * scale, out=tmp), out=acc)
     for k in range(EXPM_TAYLOR_ORDER - 1, 0, -1):
@@ -215,6 +219,38 @@ def expm_grid(M: np.ndarray, times) -> Iterator[np.ndarray]:
         if len(kept) < EXPM_GRID_KEPT and (ahead[t] or ahead[2 * t]):
             kept[t] = E
         yield E
+
+
+def _real_basis_congruence(M: np.ndarray, inverse: bool) -> np.ndarray:
+    """V^dagger M V, or V M V^dagger if ``inverse`` (V^dagger x or V x for
+    a vector x), by index arithmetic.  V has the columns vec(F_k) of the
+    orthonormal Hermitian basis: E_aa, then (E_ab + E_ba)/sqrt(2) at the
+    slot n = b d + a of vec(E_ab) and i (E_ab - E_ba)/sqrt(2) at that of
+    E_ba (a < b).  So V^dagger[n, n] = u[n] and V^dagger[n, perm[n]] =
+    conj(u[n]), perm[n] = a d + b the transposed slot."""
+    d = math.isqrt(M.shape[0])
+    b, a = np.divmod(np.arange(d * d), d)
+    r, perm = math.sqrt(0.5), a * d + b
+    u = np.where(a < b, r, np.where(a > b, 1j * r, 0.5))
+    u, v = (u.conj(), u[perm]) if inverse else (u, u.conj())
+    if M.ndim == 1:
+        return u * M + v * M[perm]
+    M = u[:, None] * M + v[:, None] * M[perm]
+    return M * u.conj() + M[:, perm] * v.conj()
+
+
+def to_real_basis(S: np.ndarray) -> tuple:
+    """(Re V^dagger S V, max |Im V^dagger S V|) for a d^2 x d^2 superoperator
+    S, or that pair for V^dagger x, x a vectorized operator.  A Hermiticity-
+    preserving S and a Hermitian x are real in this Hermitian basis: the
+    imaginary part is a roundoff (or fault) witness for the caller to bound."""
+    R = _real_basis_congruence(np.asarray(S, dtype=complex), False)
+    return np.ascontiguousarray(R.real), max_abs(R.imag)
+
+
+def from_real_basis(R: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_real_basis`: V R V^dagger, or V x; complex."""
+    return _real_basis_congruence(np.asarray(R), True)
 
 
 def vectorize(X: np.ndarray) -> np.ndarray:
@@ -339,22 +375,9 @@ def numerical_nullity(svals: np.ndarray, zero_tol: float) -> tuple:
     return dim_null, float(svals[~null].min() / smax) - largest_zero
 
 
-# ---------------------------------------------------------------------------
-# Matrix interchange format: first line "d_rows d_cols", then row-major
-# entries as "re im" pairs, whitespace separated.
-# ---------------------------------------------------------------------------
-
-def matrix_to_text(M: np.ndarray) -> str:
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError(f"interchange format needs a 2-d matrix, got {M.ndim}-d")
-    lines = [f"{M.shape[0]} {M.shape[1]}"]
-    for row in M:
-        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-    return "\n".join(lines) + "\n"
-
-
 def matrix_from_text(text: str) -> np.ndarray:
+    """Parse the matrix interchange format: first line "d_rows d_cols",
+    then row-major entries as "re im" pairs, whitespace separated."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("interchange text too short: missing dimension header")

@@ -21,7 +21,6 @@ from . import linalg
 from .linalg import (
     devectorize,
     image_basis,
-    matrix_to_text,
     max_abs,
     numerical_nullity,
     require_hermitian,
@@ -41,7 +40,6 @@ __all__ = [
     "partial_trace_family",
     "trivial_family",
     "validate_cppnce",
-    "kraus_to_text",
 ]
 
 
@@ -414,13 +412,3 @@ def validate_cppnce(sub: PhysicalSubsystem, rng=0) -> ValidationReport:
     return ValidationReport(unital=unital, idempotent=idem, adjoint=adjoint,
                             fixed_points=fixed, complete_positivity=cp,
                             bimodule=bimodule, normality=normality)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: count header, then each operator in interchange format.
-# ---------------------------------------------------------------------------
-
-def kraus_to_text(sub: PhysicalSubsystem) -> str:
-    parts = [f"{len(sub.operators)}\n"]
-    parts.extend(matrix_to_text(V) for V in sub.operators)
-    return "".join(parts)

@@ -431,8 +431,8 @@ class TestRun:
     # Schrödinger duals are derived only where read: one subsystem's
     # (cached), and per coupling one for each read of a generator's dual,
     # which is not cached: the Choi test's, the certified bundle's cached
-    # quotient, the certificate's and, for a heat bath, the steady
-    # state's.  The checked build applies P0* to its
+    # quotient and, for a heat bath, the steady state's (the certificate
+    # transposes G_H in the real Hermitian basis instead).  The checked build applies P0* to its
     # probes by index permutation and forms neither P0* nor the Gram
     # matrix.  The qubit-gibbs full space is d = 8, so its Choi test reads
     # the general dual; the partial-trace subsystem's own dual is never
@@ -441,11 +441,11 @@ class TestRun:
         (GIBBS, ("lambda = 0.3 0.1", "lambda = 0.3 0.2 0.1"),
          {"partial_trace_family": 1, "build_projection": 2,
           "bath_correlation": 1, "_covariance_defect": 1, "lamb_shift": 3,
-          "trace_pairing_adjoint": 1 + 3 * 4, "_gram": 0}),
+          "trace_pairing_adjoint": 1 + 3 * 3, "_gram": 0}),
         (BASE_QFGR, ("lambda = 0.5 0.25", "lambda = 0.5 0.25 0.1"),
          {"partial_trace_family": 0, "build_projection": 1,
           "bath_correlation": 0, "_covariance_defect": 1, "lamb_shift": 3,
-          "trace_pairing_adjoint": 1 + 3 * 3, "_gram": 0}),
+          "trace_pairing_adjoint": 1 + 3 * 2, "_gram": 0}),
     ], ids=["heat_bath", "qfgr"])
     def test_coupling_independent_work_once(self, tmp_path, monkeypatch,
                                             text, couplings, expected):

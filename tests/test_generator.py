@@ -1,5 +1,6 @@
+import dataclasses
+import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -16,14 +17,12 @@ from conftest import (
 )
 import cglind.generator as generator_module
 import cglind.linalg as linalg_module
-import cglind.subsystem as subsystem_module
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
 from cglind.generator import (
     _covariance_defect,
     assemble_kt,
     build_generator,
     evolve,
-    export_bundle,
     k_t_oracle,
     lindblad_superop,
     qds_certificate,
@@ -34,11 +33,12 @@ from cglind.linalg import (
     choi_matrix,
     devectorize,
     expm,
+    from_real_basis,
     hermitian_eig,
     hermitize,
     is_psd,
-    matrix_from_text,
     max_abs,
+    to_real_basis,
     trace_norm,
     vectorize,
 )
@@ -495,19 +495,19 @@ class TestSteadyState:
 
 
 def _trace_norm_growth_loop(bundle, times, rng, n_state_samples):
-    """Reference: the certificate's trace-norm growth with one quotient
-    propagator per (state sample, time) pair."""
+    """Reference: the certificate's trace-norm growth with one real-basis
+    quotient propagator per (state sample, time) pair."""
     rng = np.random.default_rng(rng)
     d = bundle.dim
-    quotient = bundle.quotient_schrodinger
+    quotient = to_real_basis(bundle.quotient_schrodinger)[0]
     growth = 0.0
     for _ in range(n_state_samples):
         G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = bundle.subsystem.project_state(G @ G.conj().T)
         rho = hermitize(rho) / np.trace(rho).real
-        base = trace_norm(rho)
+        base, x = trace_norm(rho), to_real_basis(vectorize(rho))[0]
         for t in times:
-            evolved = devectorize(expm(t * quotient) @ vectorize(rho), d)
+            evolved = devectorize(from_real_basis(expm(t * quotient) @ x), d)
             growth = max(growth, trace_norm(evolved) - base)
     return growth
 
@@ -531,6 +531,62 @@ def _count_expm(monkeypatch):
     return calls
 
 
+def negated_lindblad_bundle():
+    """A negated Lindblad form, X -> -(L^+ X L) + (1/2){L^+ L, X}, on the
+    d = 3 trivial family: Psi(1) = A and unitality hold, so the bundle
+    is accepted, but exp(tG) is not completely positive and grows."""
+    rng = np.random.default_rng(1)
+    L = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    zero = np.zeros((3, 3), dtype=complex)
+    return generator_module.GeneratorBundle.at_coupling(
+        CoarseGrainSchedule(1.0, 1.0, 1.0), build_projection(trivial_family(3)),
+        1.0, zero, zero, zero, -(L.conj().T @ L),
+        -np.kron(L.T, L.conj().T))
+
+
+def _nan_last(grid):
+    """expm_grid whose last propagator is all NaN."""
+    def faulty(M, times):
+        props = list(grid(M, times))
+        props[-1] = np.full_like(props[-1], np.nan)
+        yield from props
+    return faulty
+
+
+class TestCertificateFails:
+    def test_negated_lindblad_form(self):
+        cert = qds_certificate(negated_lindblad_bundle(), (0.1, 1.0))
+        assert not cert.passed
+        np.testing.assert_allclose(cert.choi_min_eig, [-0.650, -94.64],
+                                   rtol=1e-3)
+        assert cert.trace_norm_growth > 1e-9
+
+    def test_overflow_fails_with_finite_or_null_witnesses(self):
+        # exp(tG) reaches ~1e190 at t = 100 and overflows at the sums;
+        # no floating-point warning escapes and no witness is inf or nan
+        cert = qds_certificate(negated_lindblad_bundle())
+        assert not cert.passed
+        for f in dataclasses.fields(cert):
+            for v in np.ravel(getattr(cert, f.name)).tolist():
+                assert v is None or math.isfinite(v), f.name
+        assert cert.semigroup_dev is None
+        json.dumps(dataclasses.asdict(cert), default=np.ndarray.tolist,
+                   allow_nan=False)
+
+    def test_nan_propagator_is_not_absorbed(self, rng, monkeypatch):
+        # the last Schrödinger propagator is a composition sum and the
+        # last quotient one is t = 100: max(0.0, nan) would be 0.0
+        sub, H0, Hp = oblique_heat_bath(rng)
+        bundle = build_generator(sub, H0, Hp, CoarseGrainSchedule(0.3, 1.0, 1.0))
+        assert qds_certificate(bundle).passed
+        monkeypatch.setattr(generator_module, "expm_grid",
+                            _nan_last(generator_module.expm_grid))
+        cert = qds_certificate(bundle)
+        assert not cert.passed
+        assert cert.semigroup_dev is None and cert.trace_norm_growth is None
+        assert np.all(np.isfinite(cert.choi_min_eig.astype(float)))
+
+
 class TestCertificate:
     def test_one_quotient_propagator_per_time(self, rng, monkeypatch):
         sub, H0, Hp = oblique_heat_bath(rng)
@@ -538,28 +594,33 @@ class TestCertificate:
         times = (0.1, 1.0, 10.0, 100.0)
         calls = _count_expm(monkeypatch)
         cert = qds_certificate(bundle, times, rng=7)
-        # Schrödinger, Heisenberg, restricted and quotient propagators per
+        # Full size: the real Schrödinger and quotient propagators per
         # time, plus one per composition pair s <= t, except the sums 2t
-        # that take one squaring more than t: those square exp(tG)
-        S = bundle.schrodinger
+        # that take one squaring more than t: those square exp(tG).  The
+        # Heisenberg propagator is a transpose; the restricted ones are
+        # k x k, one per time.
+        S = to_real_basis(bundle.heisenberg)[0].T
         squared = [t for t in times
                    if _squarings(2 * t * S) == _squarings(t * S) + 1]
         assert squared  # at least one sum is a square
-        assert len(calls) == (4 * len(times) + len(times) * (len(times) + 1) // 2
-                              - len(squared))
+        full = [shape for shape in calls if shape == S.shape]
+        assert len(full) == (2 * len(times) + len(times) * (len(times) + 1) // 2
+                             - len(squared)) <= 15
+        assert len(calls) - len(full) == len(times)
         assert cert.trace_norm_growth == _trace_norm_growth_loop(bundle, times, 7, 3)
 
     def test_equal_time_composition_is_bitwise(self, rng):
         # exp(2tG) takes one squaring more than exp(tG) and shares its
         # Taylor core, so it is exp(tG) @ exp(tG) to the bit: the
-        # certificate's s = t composition pairs deviate by exactly 0
+        # certificate's s = t composition pairs deviate by exactly 0, in
+        # the matrix-unit basis and in the certificate's real one
         sub, H0, Hp = oblique_heat_bath(rng)
         bundle = build_generator(sub, H0, Hp, CoarseGrainSchedule(0.3, 1.0, 1.0))
-        S = bundle.schrodinger
-        for t in (1.0, 10.0, 100.0):
-            assert _squarings(2 * t * S) == _squarings(t * S) + 1
-            prop = expm(t * S)
-            assert expm(2 * t * S).tobytes() == (prop @ prop).tobytes()
+        for S in (bundle.schrodinger, to_real_basis(bundle.heisenberg)[0].T):
+            for t in (1.0, 10.0, 100.0):
+                assert _squarings(2 * t * S) == _squarings(t * S) + 1
+                prop = expm(t * S)
+                assert expm(2 * t * S).tobytes() == (prop @ prop).tobytes()
 
     def test_pure_commutator_unitary_propagator(self):
         cert = qds_certificate(commutator_bundle(), (0.1, 1.0, 10.0))
@@ -600,34 +661,3 @@ class TestCertificate:
         assert eigs[0] > -1e-9
         assert np.sum(eigs > 1e-10) == 1
         assert eigs[-1] == pytest.approx(2.0, abs=1e-12)
-
-
-class TestExport:
-    def test_export_round_trip(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(subsystem_module, "commutant",
-                            lambda family: calls.append(family))
-        bundle = dephasing_bundle()
-        out = tmp_path / "bundle"
-        export_bundle(bundle, out)
-        assert calls == []  # the manifest reads rank P0 = Tr P0
-        names = {"h_free.mat", "h_first.mat", "h_lamb.mat", "decay.mat",
-                 "heisenberg.mat", "schrodinger.mat", "manifest.txt",
-                 "kraus.mat"}
-        assert set(os.listdir(out)) == names
-
-        def read(name):
-            with open(out / f"{name}.mat", encoding="ascii") as fh:
-                return matrix_from_text(fh.read())
-        M = read("heisenberg")
-        np.testing.assert_allclose(M, bundle.heisenberg, atol=0)
-        # the jump map is G_H - i[H_eff, .] + (1/2){A, .} of the pieces
-        h_eff = read("h_free") + read("h_first") + read("h_lamb")
-        psi = M - lindblad_superop(h_eff, read("decay"), np.zeros_like(M))
-        np.testing.assert_allclose(psi, jump_map(bundle, SZ, SX), atol=1e-15)
-        manifest = (out / "manifest.txt").read_text()
-        assert "pieces = h_free h_first h_lamb decay heisenberg " \
-            "schrodinger\n" in manifest
-        assert "lambda = 1" in manifest
-        assert "dim = 2" in manifest
-        assert "commutant_dim = 2\n" in manifest

@@ -22,15 +22,17 @@ from cglind.linalg import (
     ExpmScaleError,
     choi_matrix,
     devectorize,
+    _squarings,
     expm,
     expm_grid,
+    from_real_basis,
     hermitian_eig,
     hermitize,
     is_psd,
     matrix_from_text,
-    matrix_to_text,
     max_abs,
     sandwich_superop,
+    to_real_basis,
     trace_pairing_adjoint,
     vectorize,
 )
@@ -228,6 +230,81 @@ class TestExpmGrid:
         assert got == want
 
 
+U = 2.0 ** -53  # unit roundoff
+
+
+def _route_bound(M, E):
+    """c n u 2^s max(1, max|E|) with c = 1: roundoff of order n u in the
+    scaled Taylor core of E = expm(M), n x n, amplified up to 2^s by its
+    s squarings."""
+    return M.shape[0] * U * 2.0 ** _squarings(M)[1] * max(1.0, max_abs(E))
+
+
+def _kraus_superop(rng, d, k=2):
+    """Superoperator of a random Kraus map X -> sum K X K^dagger: it
+    preserves Hermiticity."""
+    Ks = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+          for _ in range(k)]
+    return sum(sandwich_superop(K, K.conj().T) for K in Ks)
+
+
+class TestRealBasis:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_basis_is_hermitian_and_unitary(self, d):
+        n = d * d
+        V = np.stack([from_real_basis(e) for e in np.eye(n)], axis=1)
+        assert max_abs(V.conj().T @ V - np.eye(n)) <= 2 * U
+        for k in range(n):
+            F = devectorize(V[:, k], d)
+            assert max_abs(F - F.conj().T) == 0.0
+        # V^dagger applied to vectors is the forward transform
+        for e in np.eye(n):
+            x, imag = to_real_basis(V @ e)
+            assert imag <= 2 * U and max_abs(x - e) <= 2 * U
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_round_trip(self, d, rng):
+        S = _kraus_superop(rng, d)
+        R, imag = to_real_basis(S)
+        assert R.dtype == np.float64
+        # four products with weights of modulus 1/2 per entry
+        assert imag <= 4 * U * max_abs(S)
+        assert max_abs(from_real_basis(R) - S) <= 8 * U * max_abs(S)
+        rho = random_hermitian(rng, d)
+        x, imag = to_real_basis(vectorize(rho))
+        assert imag == 0.0  # exactly Hermitian in, exactly real out
+        assert max_abs(devectorize(from_real_basis(x), d) - rho) \
+            <= 4 * U * max_abs(rho)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_real_route_matches_complex(self, d, rng):
+        # exp(tS) in the real basis against the complex exponential, for
+        # the Lindblad generator of a Hermitian H and Kraus jumps K
+        H = random_hermitian(rng, d)
+        J = _kraus_superop(rng, d) / d
+        A = devectorize(trace_pairing_adjoint(J) @ vectorize(np.eye(d)), d)
+        G = lindblad_superop(H, A, J)
+        R = to_real_basis(G)[0].T
+        S = trace_pairing_adjoint(G)
+        for t in (0.1, 1.0, 10.0):
+            E = expm(t * S)
+            assert max_abs(from_real_basis(expm(t * R)) - E) \
+                <= _route_bound(t * S, E)
+
+    @pytest.mark.parametrize("d", [1, 3, 9, 16])
+    def test_expm_keeps_real_dtype(self, d, rng):
+        for norm1 in (0.3, 3.0, 30.0):
+            M = _with_norm1(rng.standard_normal((d, d)), norm1)
+            E = expm(M)
+            assert E.dtype == np.float64
+            assert max_abs(E - expm(M + 0j)) <= _route_bound(M, E)
+        assert expm(np.zeros((d, d))).dtype == np.float64
+        assert expm(np.eye(d, dtype=int)).dtype == np.float64
+        grid = list(expm_grid(_with_norm1(rng.standard_normal((d, d)), 1.0),
+                              [0.0, 1.0, 2.0]))
+        assert all(E.dtype == np.float64 for E in grid)
+
+
 class TestVectorization:
     def test_round_trip(self, rng):
         X = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -367,8 +444,9 @@ class TestTracePairingAdjoint:
 class TestInterchangeFormat:
     def test_round_trip(self, rng):
         M = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        got = matrix_from_text(matrix_to_text(M))
-        np.testing.assert_array_equal(got, M)
+        text = "\n".join([f"{M.shape[0]} {M.shape[1]}"] + [
+            " ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) for row in M])
+        np.testing.assert_array_equal(matrix_from_text(text), M)
 
     def test_header_errors(self):
         with pytest.raises(ValueError, match="header"):

@@ -11,7 +11,6 @@ from cglind.linalg import (
     expm,
     hermitize,
     is_psd,
-    matrix_from_text,
     max_abs,
     numerical_nullity,
     operator_norm,
@@ -24,7 +23,6 @@ from cglind.subsystem import (
     _predual_defect,
     build_projection,
     commutant,
-    kraus_to_text,
     partial_trace_family,
     sector_family,
     trivial_family,
@@ -583,18 +581,3 @@ class TestValidator:
         r1 = validate_cppnce(sub, rng=5)
         r2 = validate_cppnce(sub, rng=5)
         assert r1.bimodule.witness == r2.bimodule.witness
-
-
-class TestKrausSerialization:
-    def test_round_trip(self):
-        # count header, then each operator in the interchange format
-        fam = sector_family([1, 2])
-        lines = kraus_to_text(fam).splitlines()
-        assert lines[0] == "2"
-        pos = 1
-        for V in fam.operators:
-            rows = int(lines[pos].split()[0])
-            back = matrix_from_text("\n".join(lines[pos:pos + 1 + rows]))
-            np.testing.assert_array_equal(back, V)
-            pos += 1 + rows
-        assert pos == len(lines)
