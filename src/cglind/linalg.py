@@ -57,8 +57,9 @@ HERMITICITY_RTOL = 1e-12
 PSD_SLACK = 1e-9
 
 # Taylor core of expm: series order and the 1-norm the argument is
-# scaled below.  expm_grid keeps at most as many propagators as one expm
-# call holds arrays (argument, identity, accumulator, product buffer).
+# scaled below.  expm_grid keeps at most four propagators: the
+# certificate samples four times, each with its double t + t later in
+# its grid, which can then be one squaring of a kept propagator.
 EXPM_TAYLOR_ORDER = 18
 EXPM_SCALE_TARGET = 0.5
 EXPM_GRID_KEPT = 4
@@ -160,19 +161,18 @@ def expm(M: np.ndarray) -> np.ndarray:
     result is squared s times.  Accurate to ~1e-12 relative for the norm
     ranges used here (dims <= 64, ||M|| <~ 1e3).
 
-    The Horner step is acc <- 1 + (B @ acc) / k with B = M / 2**s, but
-    B is never formed: the step divides M @ acc by k 2**s instead.
-    Scaling by a power of two is exact and scales every rounding, so
-    each product, sum and quotient has the same bits either way, as long
-    as no entry of B or of a partial product falls into the subnormal
-    range.  The first step divides M itself: M @ 1 is M up to the signs
-    of zeros, which 1 + . erases.  If 2M takes one squaring more than M,
-    it scales to the same B, so expm(2M) is expm(M) @ expm(M) to the bit
-    (the grid rule of :func:`expm_grid`, on the same no-subnormal
-    assumption).  Three work arrays (the identity, the accumulator and
-    one product buffer) are allocated once; the squarings swap the last
-    two.  A real argument keeps a real dtype, so its products are real;
-    any other is cast to complex.
+    The Horner step is acc <- 1 + (B @ acc) / k, B = M / 2**s, but
+    neither B nor the identity is formed.  The step divides M @ acc (M
+    at the first) by k 2**s: scaling by a power of two is exact and
+    scales every rounding, so the bits agree while no entry of B or of a
+    partial product is subnormal, and if 2M takes one squaring more than
+    M, expm(2M) is expm(M) @ expm(M) to the bit (the grid rule of
+    :func:`expm_grid`).  Then 1 is added to acc's diagonal by a view:
+    x + 1 is 1 + x, and x is 0 + x (M is M @ 1) but for the sign of a
+    zero, which never changes a nonzero product, sum or quotient; one
+    + 0.0 pass sets the identity route's +0 before the squarings.  Two
+    C-ordered work arrays are all it holds.  A real argument keeps a
+    real dtype; any other is cast to complex.
     """
     M = require_square(M, "expm argument",
                        float if np.isrealobj(M) else complex)
@@ -184,13 +184,13 @@ def expm(M: np.ndarray) -> np.ndarray:
         raise ExpmScaleError(
             f"expm argument norm {norm1:.3e} too large to scale")
     scale = 2.0 ** n_square
-    eye = np.eye(d, dtype=M.dtype)
-    acc, tmp = np.empty_like(eye), np.empty_like(eye)
-    np.add(eye, np.divide(M, EXPM_TAYLOR_ORDER * scale, out=tmp), out=acc)
-    for k in range(EXPM_TAYLOR_ORDER - 1, 0, -1):
-        np.matmul(M, acc, out=tmp)
-        np.divide(tmp, k * scale, out=tmp)
-        np.add(eye, tmp, out=acc)
+    acc, tmp = np.empty((d, d), M.dtype), np.empty((d, d), M.dtype)
+    diag, one = acc.reshape(-1)[::d + 1], np.ones((), M.dtype)
+    for k in range(EXPM_TAYLOR_ORDER, 0, -1):
+        prod = M if k == EXPM_TAYLOR_ORDER else np.matmul(M, acc, out=tmp)
+        np.divide(prod, k * scale, out=acc)
+        np.add(diag, one, out=diag)
+    np.add(acc, 0.0, out=acc)
     for _ in range(n_square):
         np.matmul(acc, acc, out=tmp)
         acc, tmp = tmp, acc

@@ -40,6 +40,7 @@ from cglind.linalg import (
     max_abs,
     to_real_basis,
     trace_norm,
+    trace_pairing_adjoint,
     vectorize,
 )
 from cglind.subsystem import (
@@ -492,6 +493,44 @@ class TestSteadyState:
         assert abs(np.trace(res.state).real - 1.0) < 1e-14
         # symmetric two-level rates equilibrate the populations
         np.testing.assert_allclose(res.state, np.eye(2) / 2, atol=1e-10)
+
+
+def _bundle_with_schrodinger(G_S):
+    """Bundle on the d = 2 trivial family with Schrödinger generator
+    G_S, built directly (the dataclass constructor checks nothing)."""
+    zero = np.zeros((2, 2), dtype=complex)
+    return generator_module.GeneratorBundle(
+        generator_module.LindbladDecomposition(zero, zero, zero, zero),
+        trace_pairing_adjoint(G_S), CoarseGrainSchedule(1.0, 1.0, 1.0),
+        build_projection(trivial_family(2)), 1.0)
+
+
+def _kernel_spanned_by(X):
+    """Schrödinger generator -(1 - |x><x|), x = vec(X) normalized: its
+    nullspace is span{X}, its other singular values are 1."""
+    x = vectorize(X) / np.linalg.norm(vectorize(X))
+    return np.outer(x, x.conj()) - np.eye(4)
+
+
+class TestSteadyStateNotes:
+    def test_no_nullspace(self):
+        res = steady_state(_bundle_with_schrodinger(-np.eye(4)))
+        assert res.flagged and res.state is None
+        assert res.nullspace_dim == 0
+        assert res.note == "no nullspace found at tolerance"
+
+    def test_traceless_null_vector(self):
+        res = steady_state(_bundle_with_schrodinger(_kernel_spanned_by(SZ)))
+        assert res.flagged and res.state is None
+        assert res.nullspace_dim == 1
+        assert res.note == "null vector is traceless; cannot normalize"
+
+    def test_null_state_not_psd(self):
+        X = np.diag([2.0, -1.0])
+        res = steady_state(_bundle_with_schrodinger(_kernel_spanned_by(X)))
+        assert res.flagged and res.nullspace_dim == 1
+        assert res.note == "normalized null state not PSD (min eig -1.000e+00)"
+        np.testing.assert_allclose(res.state, X, atol=1e-14)
 
 
 def _trace_norm_growth_loop(bundle, times, rng, n_state_samples):

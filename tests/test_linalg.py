@@ -42,21 +42,40 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def _expm_allocating(M):
     """Reference: the Horner loop of expm with a scaled copy
-    B = M / 2**s and a new array for every step."""
-    M = np.asarray(M, dtype=complex)
+    B = M / 2**s, a dense identity and a new array for every step; a
+    real argument keeps a real dtype, as in expm."""
+    M = np.asarray(M, dtype=float if np.isrealobj(M) else complex)
     d = M.shape[0]
     norm1 = float(np.max(np.sum(np.abs(M), axis=0))) if d else 0.0
     if norm1 == 0.0:
-        return np.eye(d, dtype=complex)
+        return np.eye(d, dtype=M.dtype)
     n_square = max(0, int(math.ceil(math.log2(norm1 / EXPM_SCALE_TARGET))))
     B = M / (2.0 ** n_square)
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d, dtype=M.dtype)
     acc = eye.copy()
     for k in range(EXPM_TAYLOR_ORDER, 0, -1):
         acc = eye + (B @ acc) / k
     for _ in range(n_square):
         acc = acc @ acc
     return acc
+
+
+def _signed_zeros_like(rng, M):
+    """with_signed_zeros that keeps a real M real."""
+    Z = with_signed_zeros(rng, M)
+    return Z if np.iscomplexobj(M) else np.ascontiguousarray(Z.real)
+
+
+def _block_diagonal(rng, dtype):
+    """12 x 12 draw of the dtype with signed zeros, blocks 0-4, 5-8 and
+    9-11, and rows 2 and 7 zero: off the blocks and along those rows
+    each product entry is a sum of signed zeros."""
+    G = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    M = _signed_zeros_like(rng, G if dtype is complex else G.real)
+    blocks = np.digitize(np.arange(12), [5, 9])
+    M[blocks[:, None] != blocks[None, :]] *= 0.0
+    M[[2, 7]] *= -0.0
+    return M
 
 
 def _with_norm1(M, norm1):
@@ -129,13 +148,51 @@ class TestExpm:
     def test_matches_allocating_loop_bytes(self, d, rng):
         # 1-norm 0.4 * 2**s takes exactly s squarings.  The general draws
         # overflow at the larger norms (inf and nan must agree too); the
-        # skew-Hermitian ones stay unitary.
+        # skew-Hermitian ones stay unitary; the real ones take the
+        # float64 route of the certificate.
         for n_square in range(15):
             G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for M in (G, 1j * (G + G.conj().T)):
-                M = _with_norm1(with_signed_zeros(rng, M), 0.4 * 2.0 ** n_square)
+            for M in (G, 1j * (G + G.conj().T), G.real):
+                M = _with_norm1(_signed_zeros_like(rng, M),
+                                0.4 * 2.0 ** n_square)
                 with np.errstate(over="ignore", invalid="ignore"):
                     assert expm(M).tobytes() == _expm_allocating(M).tobytes()
+
+    @pytest.mark.parametrize("d", [16, 33, 64])
+    def test_large_and_strided_match_allocating_loop_bytes(self, d, rng):
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for A in (G, G.real):
+            for n_square in (0, 3, 7):
+                M = _with_norm1(_signed_zeros_like(rng, A),
+                                0.4 * 2.0 ** n_square)
+                for X in (M, M.T, np.asfortranarray(M)):
+                    assert expm(X).tobytes() == _expm_allocating(X).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_block_diagonal_zero_rows_match_allocating_loop_bytes(
+            self, dtype, rng):
+        for n_square in range(8):
+            M = _with_norm1(_block_diagonal(rng, dtype), 0.4 * 2.0 ** n_square)
+            assert expm(M).tobytes() == _expm_allocating(M).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_products_signed_negative_match_allocating_loop_bytes(
+            self, dtype, monkeypatch, rng):
+        # A product kernel may return an exact zero as -0 (one that starts
+        # a sum from its first term does); the + 0.0 pass must set the
+        # identity route's +0.  No squarings (1-norm < 0.5): they use
+        # the same kernel.
+        matmul = np.matmul
+
+        def negative_zeros(a, b, out):
+            flat = matmul(a, b, out=out).reshape(-1).view(np.float64)
+            flat[flat == 0.0] = -0.0
+            return out
+
+        monkeypatch.setattr(np, "matmul", negative_zeros)
+        for norm1 in (0.1, 0.2, 0.4):
+            M = _with_norm1(_block_diagonal(rng, dtype), norm1)
+            assert expm(M).tobytes() == _expm_allocating(M).tobytes()
 
     def test_zero_and_views_match_allocating_loop_bytes(self, rng):
         Z = np.zeros((5, 5), dtype=complex)
@@ -152,13 +209,13 @@ class TestExpm:
             expm(M)
 
     def test_memory_budget(self, rng):
-        # the identity, the accumulator and one product buffer, plus an
-        # allowance for the array headers (LAPACK and BLAS workspace is
+        # the accumulator and one product buffer, plus an allowance for
+        # the array headers and the diagonal view (BLAS workspace is
         # invisible to tracemalloc)
         n = BUDGET_DIM * BUDGET_DIM
         M = _with_norm1(rng.standard_normal((n, n))
                         + 1j * rng.standard_normal((n, n)), 40.0)
-        assert traced_peak(expm, M) <= 3 * superop_bytes(BUDGET_DIM) + 4096
+        assert traced_peak(expm, M) <= 2 * superop_bytes(BUDGET_DIM) + 4096
 
 
 CERT_TIMES = (0.1, 1.0, 10.0, 100.0)
