@@ -26,7 +26,6 @@ from .subsystem import (
     commutant,
     partial_trace_family,
     sector_family,
-    validate_cppnce,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "qds_certificate",
     "sector_family",
     "steady_state",
-    "validate_cppnce",
 ]

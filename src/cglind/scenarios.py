@@ -1,4 +1,4 @@
-"""Worked scenario families and the weak-coupling error sweep.
+"""Worked scenario families and the weak-coupling error curve.
 
 Two model classes get specialized generator constructions that are
 cross-checked against the general build:
@@ -16,9 +16,9 @@ cross-checked against the general build:
   frequency integrals collapse to exact sums of dissipators built from
   frequency-translated coarse-grained system operators.
 
-The sweep compares the exact projected evolution against the
-semigroup approximation over the rescaled time window [0, tau/lam^2]
-and records the error table; no convergence claim is attached, since
+The error curve compares the exact projected evolution against the
+semigroup approximation (the CLI's auto time mode takes the rescaled
+window [0, tau/lam^2]); no convergence claim is attached, since
 discrete spectra cannot satisfy the continuum decay hypotheses.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda, coarse_grained_L, \
     pv_shift_eigenbasis
 from .generator import GeneratorBundle, PreparedGenerator, \
-    SteadyStateResult, build_generator, steady_state
+    SteadyStateResult, steady_state
 from .linalg import (
     devectorize,
     expm_grid,
@@ -45,31 +45,24 @@ from .linalg import (
     trace_distance,
     vectorize,
 )
-from .subsystem import PhysicalSubsystem, build_projection, partial_trace_family, \
-    sector_family, trivial_family
+from .subsystem import build_projection, sector_family, trivial_family
 
 __all__ = [
     "QfgrModel",
     "QfgrGenerator",
     "PreparedQfgr",
     "qfgr_generator",
-    "FgrRateRow",
-    "fgr_rate_check",
     "HeatBathModel",
     "CorrelationData",
     "gibbs_state",
     "bath_correlation",
     "PreparedHeatBath",
     "heat_bath_generator",
-    "general_heat_bath_bundle",
     "dual_path_residual",
     "GibbsRow",
     "gibbs_row",
     "gibbs_limit_study",
-    "SweepRow",
-    "SweepResult",
     "projected_error_curve",
-    "weak_coupling_sweep",
     "PRESETS",
     "two_sector_qubit_model",
     "qfgr_two_block_model",
@@ -174,43 +167,6 @@ class PreparedQfgr(PreparedGenerator):
 def qfgr_generator(m: QfgrModel) -> QfgrGenerator:
     """Both parts of :class:`PreparedQfgr` at the model's coupling."""
     return PreparedQfgr(m).generator(m.schedule)
-
-
-@dataclass
-class FgrRateRow:
-    T: float
-    integral: float
-    peak: float
-    half_width: float
-
-
-def fgr_rate_check(T_values: Sequence[float]) -> List[FgrRateRow]:
-    """Nascent-delta diagnostics of the transition-rate profile
-    g_T(D) = 2 sqrt(pi) T exp(-T^2 D^2) (unit coupling entry).
-
-    For each window width: the quadrature of g_T over the line (the
-    normalization tends to 2 pi), the peak value 2 sqrt(pi) T, and the
-    measured half width at half maximum (proportional to 1/T).  Only
-    the finite-surrogate properties are computed; the genuine delta
-    limit needs a continuum of levels.  Each quadrature is the trapezoid
-    rule on 200001 points over |D| <= 12 / T.
-    """
-    n_points = 200001
-    rows = []
-    for T in T_values:
-        if T <= 0:
-            raise ValueError(f"T must be positive, got {T}")
-        R = 12.0 / T
-        grid = np.linspace(-R, R, n_points)
-        g = 2.0 * np.sqrt(np.pi) * T * np.exp(-(T * grid) ** 2)
-        integral = float(np.trapezoid(g, grid))
-        peak = float(g[n_points // 2])
-        half = peak / 2.0
-        above = grid[g >= half]
-        half_width = float(above[-1] - above[0]) / 2.0
-        rows.append(FgrRateRow(T=float(T), integral=integral, peak=peak,
-                               half_width=half_width))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +351,6 @@ def heat_bath_generator(m: HeatBathModel) -> GeneratorBundle:
     return PreparedHeatBath(m).bundle(m.schedule)
 
 
-def general_heat_bath_bundle(m: HeatBathModel) -> GeneratorBundle:
-    """The same model through the general construction: partial-trace
-    Kraus family on the full space."""
-    sub = build_projection(partial_trace_family(m.dim_A, m.bath_state()))
-    H0, Hp = m.full_hamiltonian_parts()
-    return build_generator(sub, H0, Hp, m.schedule)
-
-
 def dual_path_residual(general: GeneratorBundle,
                        specialized: GeneratorBundle) -> float:
     """Max-entry mismatch of the two derivations of the same heat-bath
@@ -463,24 +411,8 @@ def gibbs_limit_study(m: HeatBathModel,
 
 
 # ---------------------------------------------------------------------------
-# Weak-coupling error sweep
+# Weak-coupling error curve
 # ---------------------------------------------------------------------------
-
-SWEEP_TIME_POINTS = 41
-
-
-@dataclass
-class SweepRow:
-    lam: float
-    t: float
-    error: float
-
-
-@dataclass
-class SweepResult:
-    rows: List[SweepRow]
-    sup_error: Dict[float, float]
-
 
 def projected_error_curve(bundle: GeneratorBundle, H0: np.ndarray,
                           Hp: np.ndarray, times: Sequence[float]
@@ -506,35 +438,6 @@ def projected_error_curve(bundle: GeneratorBundle, H0: np.ndarray,
         w = B.conj().T @ (sub.heisenberg @ cols)
         errors[idx] = operator_norm(w - prop)
     return errors
-
-
-def weak_coupling_sweep(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
-                        schedules: Sequence[CoarseGrainSchedule],
-                        tau_bar: float) -> SweepResult:
-    """Error table of the semigroup approximation over the rescaled
-    window [0, tau_bar / lam^2], at SWEEP_TIME_POINTS equally spaced
-    times, for each schedule.
-
-    The table is recorded, not asserted against: a fixed discrete model
-    cannot satisfy the integrability hypotheses a genuine weak-coupling
-    limit needs, so any smallness is an empirical observation about
-    this model only.
-    """
-    if sub.dim > 32:
-        raise ValueError(f"sweep needs full-space dim <= 32, got {sub.dim}")
-    if tau_bar <= 0:
-        raise ValueError("need tau_bar > 0")
-    prepared = PreparedGenerator(sub, H0, Hp)
-    rows: List[SweepRow] = []
-    sups: Dict[float, float] = {}
-    for sched in schedules:
-        lam = sched.lam
-        times = np.linspace(0.0, tau_bar / (lam * lam), SWEEP_TIME_POINTS)
-        errs = projected_error_curve(prepared.bundle(sched), H0, Hp, times)
-        for t, e in zip(times, errs):
-            rows.append(SweepRow(lam=lam, t=float(t), error=float(e)))
-        sups[lam] = float(np.max(errs))
-    return SweepResult(rows=rows, sup_error=sups)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ P0(X) = sum_a V_a† X V_a on observables.  When the family is a genuine
 projection, its fixed-point space equals the commutant of the V's and
 P0 is a completely positive conditional expectation onto it; this
 module builds the projection (its Heisenberg action on observables,
-with the trace-pairing adjoint on states derived on first use), solves
-the commutant, and provides an axiom-by-axiom validator.
+with the trace-pairing adjoint on states derived on first use) and
+solves the commutant.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .linalg import (
     devectorize,
     image_basis,
@@ -32,14 +31,11 @@ from .linalg import (
 __all__ = [
     "CommutantResult",
     "PhysicalSubsystem",
-    "AxiomCheck",
-    "ValidationReport",
     "commutant",
     "build_projection",
     "sector_family",
     "partial_trace_family",
     "trivial_family",
-    "validate_cppnce",
 ]
 
 
@@ -168,11 +164,6 @@ class PhysicalSubsystem:
         """||P0(1) - 1||_max with P0(1) = sum_a V_a† V_a."""
         return max_abs(sum(V.conj().T @ V for V in self.operators)
                        - np.eye(self.dim))
-
-    @cached_property
-    def idempotency_defect(self) -> float:
-        """||P0^2 - P0||_max, from a dense d^2 x d^2 product."""
-        return max_abs(self.heisenberg @ self.heisenberg - self.heisenberg)
 
     @cached_property
     def schrodinger(self) -> np.ndarray:
@@ -314,101 +305,3 @@ def _predual_defect(S: np.ndarray, dim_a: int, w: np.ndarray) -> float:
         diff[js, alpha, i, :, js, :] -= w
         worst = max(worst, max_abs(diff))
     return worst
-
-
-# ---------------------------------------------------------------------------
-# Conditional-expectation axioms
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AxiomCheck:
-    name: str
-    ok: bool
-    witness: float
-    note: str = ""
-
-
-@dataclass
-class ValidationReport:
-    unital: AxiomCheck
-    idempotent: AxiomCheck
-    adjoint: AxiomCheck
-    fixed_points: AxiomCheck
-    complete_positivity: AxiomCheck
-    bimodule: AxiomCheck
-    normality: AxiomCheck
-
-    def checks(self) -> list:
-        return [self.unital, self.idempotent, self.adjoint, self.fixed_points,
-                self.complete_positivity, self.bimodule, self.normality]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.ok for c in self.checks())
-
-
-def _random_complex(rng: np.random.Generator, d: int) -> np.ndarray:
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def validate_cppnce(sub: PhysicalSubsystem, rng=0) -> ValidationReport:
-    """Check the conditional-expectation axioms on a built subsystem.
-
-    Randomized checks draw 16 samples each from the supplied generator
-    (or seed), so reports are deterministic given the seed; structural
-    identities are checked at 1e-10.  Axioms:
-
-    * adjoint preservation  P0(X†) = P0(X)†
-    * fixed points           P0 unital (so the commutant is fixed) and
-      projected samples commute with every V_a and V_a†
-    * complete positivity    Choi(P0) PSD
-    * bimodule property      P0(X1 Y X2) = X1 P0(Y) X2 for X1, X2 drawn
-      from the image of P0 and arbitrary Y
-    * normality              automatic in finite dimension; reported as
-      vacuously true.
-    """
-    rng = np.random.default_rng(rng)
-    d, sample_count, tol = sub.dim, 16, 1e-10
-
-    unital = AxiomCheck("unital", sub.unital_defect <= tol, sub.unital_defect)
-    idem = AxiomCheck("idempotent", sub.idempotency_defect <= tol,
-                      sub.idempotency_defect)
-
-    adj_dev = 0.0
-    for _ in range(sample_count):
-        X = _random_complex(rng, d)
-        adj_dev = max(adj_dev, max_abs(sub.project(X.conj().T)
-                                       - sub.project(X).conj().T))
-    adjoint = AxiomCheck("adjoint", adj_dev <= tol, adj_dev)
-
-    comm_dev = 0.0
-    for _ in range(sample_count):
-        X = sub.project(_random_complex(rng, d))
-        for G in sub.operators + [V.conj().T for V in sub.operators]:
-            comm_dev = max(comm_dev, max_abs(X @ G - G @ X) / (1.0 + max_abs(X)))
-    fixed_dev = max(sub.unital_defect, comm_dev)
-    fixed = AxiomCheck("fixed_points", fixed_dev <= 1e-9, fixed_dev)
-
-    choi = linalg.choi_matrix(sub.heisenberg)
-    psd = linalg.is_psd(choi)
-    cp = AxiomCheck("complete_positivity", psd.ok, psd.min_eig)
-
-    bi_dev = 0.0
-    for _ in range(sample_count):
-        X1 = sub.project(_random_complex(rng, d))
-        X2 = sub.project(_random_complex(rng, d))
-        Y = _random_complex(rng, d)
-        lhs = sub.project(X1 @ Y @ X2)
-        rhs = X1 @ sub.project(Y) @ X2
-        scale = 1.0 + max_abs(X1) * max_abs(Y) * max_abs(X2)
-        bi_dev = max(bi_dev, max_abs(lhs - rhs) / scale)
-    bimodule = AxiomCheck("bimodule", bi_dev <= tol, bi_dev)
-
-    normality = AxiomCheck(
-        "normality", True, 0.0,
-        note="monotone continuity is automatic in finite dimension; "
-             "reported vacuously true")
-
-    return ValidationReport(unital=unital, idempotent=idem, adjoint=adjoint,
-                            fixed_points=fixed, complete_positivity=cp,
-                            bimodule=bimodule, normality=normality)

@@ -3,6 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cglind.generator import build_generator
+from cglind.subsystem import build_projection, partial_trace_family
+
 
 def kron_commutator(H):
     """Reference superoperator of X -> H X - X H, from np.kron."""
@@ -21,6 +24,25 @@ def scale_sector_amplitudes(monkeypatch, factor):
         bundle, L0, shift = original(self, sched)
         return bundle, factor * L0, shift
     monkeypatch.setattr(scenarios.PreparedQfgr, "_bundle", faulty)
+
+
+def general_heat_bath_bundle(m):
+    """A heat-bath model through the general construction: the
+    partial-trace Kraus family on the full space."""
+    sub = build_projection(partial_trace_family(m.dim_A, m.bath_state()))
+    return build_generator(sub, *m.full_hamiltonian_parts(), m.schedule)
+
+
+def fgr_rate_profile(T):
+    """(integral, peak, half width at half maximum) of the nascent delta
+    g_T(D) = 2 sqrt(pi) T exp(-T^2 D^2), trapezoid rule on 200001 points
+    over |D| <= 12 / T."""
+    n_points, R = 200001, 12.0 / T
+    grid = np.linspace(-R, R, n_points)
+    g = 2.0 * np.sqrt(np.pi) * T * np.exp(-(T * grid) ** 2)
+    peak = float(g[n_points // 2])
+    above = grid[g >= peak / 2.0]
+    return float(np.trapezoid(g, grid)), peak, float(above[-1] - above[0]) / 2.0
 
 
 def random_hermitian(rng, d, scale=1.0):

@@ -5,7 +5,9 @@ and match the module contracts; nothing is deferred to calibration.
 
 import numpy as np
 
-from conftest import random_hermitian
+from conftest import fgr_rate_profile, general_heat_bath_bundle, \
+    random_hermitian
+from oracles import validate_cppnce
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
 from cglind.generator import (
     assemble_kt,
@@ -17,16 +19,12 @@ from cglind.linalg import hermitian_eig, max_abs, trace_norm, vectorize, devecto
 from cglind.scenarios import (
     HeatBathModel,
     dual_path_residual,
-    fgr_rate_check,
-    general_heat_bath_bundle,
     gibbs_limit_study,
     heat_bath_generator,
     heat_bath_qutrit_model,
     qfgr_two_block_model,
-    quasi_continuum_model,
     reference_heat_bath_model,
     two_sector_qubit_model,
-    weak_coupling_sweep,
     QUASI_CONTINUUM_TAU_BAR,
 )
 from cglind.subsystem import (
@@ -34,9 +32,8 @@ from cglind.subsystem import (
     build_projection,
     partial_trace_family,
     sector_family,
-    validate_cppnce,
 )
-from cglind.cli import main as cli_main
+from cglind.cli import ScenarioConfig, run_config, main as cli_main
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -224,9 +221,9 @@ def test_07_gibbs_limit():
 def test_08_fgr_nascent_delta():
     """Rate-profile normalization 2 pi to 1e-6 for T in {1, 10}; peak
     scales linearly in T to 1e-9 relative."""
-    rows = fgr_rate_check([1.0, 10.0])
-    norm_devs = [abs(r.integral - 2.0 * np.pi) for r in rows]
-    peak_lin = abs(rows[1].peak / rows[0].peak - 10.0) / 10.0
+    rows = [fgr_rate_profile(T) for T in (1.0, 10.0)]
+    norm_devs = [abs(integral - 2.0 * np.pi) for integral, *_ in rows]
+    peak_lin = abs(rows[1][1] / rows[0][1] - 10.0) / 10.0
     ok = all(d <= 1e-6 for d in norm_devs) and peak_lin <= 1e-9
     report(8, ok, "nascent-delta normalization and peak scaling",
            f"norm devs {norm_devs[0]:.2e}/{norm_devs[1]:.2e}, "
@@ -236,18 +233,20 @@ def test_08_fgr_nascent_delta():
 def test_09_weak_coupling_sweep():
     """On the frozen quasi-continuum preset the sup error over the
     rescaled window is strictly smaller at lam = 0.05 than at lam = 0.2.
-    Recorded table; no asymptotic claim."""
-    m = quasi_continuum_model()
-    sub = build_projection(partial_trace_family(m.dim_A, m.bath_state()))
-    H0, Hp = m.full_hamiltonian_parts()
-    scheds = [CoarseGrainSchedule(0.2, 1.0, 1.0),
-              CoarseGrainSchedule(0.05, 1.0, 1.0)]
-    res = weak_coupling_sweep(sub, H0, Hp, scheds, QUASI_CONTINUUM_TAU_BAR)
-    ok = res.sup_error[0.05] < res.sup_error[0.2]
+    Recorded table of the CLI's auto time mode, 41 points each; no
+    asymptotic claim."""
+    cfg = ScenarioConfig(
+        kind="heat_bath", preset="quasi-continuum", sector_dims=None,
+        matrices={}, beta=None, lambdas=[0.2, 0.05], xi=1.0, t_ref=1.0,
+        time_mode="auto", t_start=0.0, t_stop=10.0, t_count=41,
+        tau_bar=QUASI_CONTINUUM_TAU_BAR, seed=0, csv_name="run.csv",
+        json_name="run.json")
+    results = run_config(cfg).results
+    sup = {r.lam: float(np.max(r.error_norm)) for r in results}
+    ok = sup[0.05] < sup[0.2]
     report(9, ok, "quasi-continuum sup error shrinks with the coupling",
-           f"sup(0.2) = {res.sup_error[0.2]:.4f}, "
-           f"sup(0.05) = {res.sup_error[0.05]:.4f}, "
-           f"{len(res.rows)} table rows")
+           f"sup(0.2) = {sup[0.2]:.4f}, sup(0.05) = {sup[0.05]:.4f}, "
+           f"{sum(len(r.times) for r in results)} table rows")
 
 
 def test_10_conditional_expectation_validator():
@@ -262,10 +261,11 @@ def test_10_conditional_expectation_validator():
     r2 = validate_cppnce(pt_sub, rng=3)
     broken = PhysicalSubsystem([np.eye(2, dtype=complex) / 2, SX / 2, SZ / 2])
     r3 = validate_cppnce(broken, rng=3)
-    ok = r1.all_passed and r2.all_passed and not r3.bimodule.ok \
-        and r3.bimodule.witness > 0.0
+    bimodule_ok, witness = r3["bimodule"]
+    ok = all(ok for ok, _ in [*r1.values(), *r2.values()]) \
+        and not bimodule_ok and witness > 0.0
     report(10, ok, "validator passes scenario families, breaks broken family",
-           f"broken bimodule witness {r3.bimodule.witness:.3e}")
+           f"broken bimodule witness {witness:.3e}")
 
 
 def test_11_cli_determinism(tmp_path):

@@ -121,6 +121,12 @@ json = gibbs.json
 """
 
 
+def diag_text(n):
+    """Interchange text of diag(0, 1, ..., n - 1)."""
+    return f"{n} {n}\n" + "\n".join(
+        "    " + "  ".join(f"{i * (i == j)} 0" for j in range(n)) for i in range(n))
+
+
 # One short run per preset; the CSVs under tests/golden/ pin every byte.
 GOLDEN_RUNS = {
     "two-sector-qubit": ("qfgr", "0.5 0.25",
@@ -152,6 +158,16 @@ def write_config(tmp_path, text, name="cfg.ini"):
     return str(path)
 
 
+def config_error(tmp_path, capsys, text, *argv):
+    """stderr of ``main(["--out-dir", out, *argv, cfg])`` on a config
+    ``text`` that must be a config error (exit 2) writing nothing."""
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), *argv, cfg]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 def read_csv_rows(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -167,33 +183,25 @@ class TestValidate:
         assert "ok" in capsys.readouterr().out
 
     def test_zero_lambda_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE_QFGR.replace(
-            "lambda = 0.5 0.25", "lambda = 0.0"))
-        assert main(["validate", cfg]) == 2
-        err = capsys.readouterr().err
-        assert "nonzero" in err
+        assert "nonzero" in config_error(tmp_path, capsys, BASE_QFGR.replace(
+            "lambda = 0.5 0.25", "lambda = 0.0"), "validate")
 
     def test_missing_t_ref_named(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE_QFGR.replace("t_ref = 1.2\n", ""))
-        assert main(["validate", cfg]) == 2
-        assert "t_ref" in capsys.readouterr().err
+        assert "t_ref" in config_error(
+            tmp_path, capsys, BASE_QFGR.replace("t_ref = 1.2\n", ""), "validate")
 
     def test_xi_out_of_range_cites_bound(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE_QFGR.replace("xi = 1.0", "xi = 2.5"))
-        assert main(["validate", cfg]) == 2
-        assert "0 < xi < 2" in capsys.readouterr().err
+        assert "0 < xi < 2" in config_error(
+            tmp_path, capsys, BASE_QFGR.replace("xi = 1.0", "xi = 2.5"), "validate")
 
     def test_unknown_preset(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, BASE_QFGR.replace(
-            "preset = two-sector-qubit", "preset = nope"))
-        assert main(["validate", cfg]) == 2
-        assert "preset" in capsys.readouterr().err
+        assert "preset" in config_error(tmp_path, capsys, BASE_QFGR.replace(
+            "preset = two-sector-qubit", "preset = nope"), "validate")
 
     def test_custom_kind_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, INLINE_QFGR.replace(
-            "kind = qfgr", "kind = custom"))
-        assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 2
-        assert "[scenario].kind" in capsys.readouterr().err
+        err = config_error(tmp_path, capsys, INLINE_QFGR.replace(
+            "kind = qfgr", "kind = custom"), "run")
+        assert "[scenario].kind" in err
 
     # Configs that parse but whose model cannot be built: each is a config
     # error (exit 2) for validate and run alike, with the cause on stderr.
@@ -211,12 +219,27 @@ class TestValidate:
     def test_unbuildable_model_exit_2(self, tmp_path, capsys, text, old, new,
                                       cause, command):
         assert old in text
-        cfg = write_config(tmp_path, text.replace(old, new))
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out), command, cfg]) == 2
-        err = capsys.readouterr().err
+        err = config_error(tmp_path, capsys, text.replace(old, new), command)
         assert "config error: [scenario]: " in err and cause in err
-        assert not out.exists()
+
+    # The parse-time dimension caps: 2 x 17 = 34 > 32 for a heat-bath
+    # model, 5 + 5 > 9 for sector dynamics (full-space certificates).
+    @pytest.mark.parametrize("text, message", [
+        (INLINE_HEAT_BATH.replace("h_b = 2 2\n    0 0  0 0\n    0 0  1 0",
+                                  f"h_b = {diag_text(17)}")
+         .replace("phi = 2 2\n    0 0  1 0\n    1 0  0 0",
+                  f"phi = {diag_text(17)}"),
+         "[scenario].h_b: full space dimension 34 exceeds the sweepable "
+         "limit 32"),
+        (INLINE_QFGR.replace("sector_dims = 1 1", "sector_dims = 5 5"),
+         "[scenario].sector_dims: sector scenarios need total dimension <= 9 "
+         "(full-space certificates)"),
+    ], ids=["heat-bath-34", "sectors-10"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_dimension_cap_exit_2(self, tmp_path, capsys, text, message,
+                                  command):
+        assert config_error(tmp_path, capsys, text, command) \
+            == f"config error: {message}\n"
 
     # float() accepts nan and inf, a tiny coupling overflows the window
     # T = |lambda|^-xi t_ref, and in auto mode lambda^2 may underflow to 0
@@ -251,19 +274,13 @@ class TestValidate:
     def test_non_finite_number_exit_2(self, tmp_path, capsys, text, old, new,
                                       field, command):
         assert old in text
-        cfg = write_config(tmp_path, text.replace(old, new))
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out), command, cfg]) == 2
-        assert f"config error: {field}: " in capsys.readouterr().err
-        assert not out.exists()
+        err = config_error(tmp_path, capsys, text.replace(old, new), command)
+        assert f"config error: {field}: " in err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path, BASE_QFGR)
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out), "--seed", "-5", command, cfg]) == 2
-        assert "config error: --seed: " in capsys.readouterr().err
-        assert not out.exists()
+        err = config_error(tmp_path, capsys, BASE_QFGR, "--seed", "-5", command)
+        assert "config error: --seed: " in err
 
     # exp(tG) is a semigroup: only t >= 0 is defined.
     @pytest.mark.parametrize("old, new, field", [
@@ -273,38 +290,28 @@ class TestValidate:
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_negative_time_exit_2(self, tmp_path, capsys, old, new, field,
                                   command):
-        cfg = write_config(tmp_path, BASE_QFGR.replace(old, new))
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out), command, cfg]) == 2
-        err = capsys.readouterr().err
+        err = config_error(tmp_path, capsys, BASE_QFGR.replace(old, new),
+                           command)
         assert f"config error: {field}: " in err and "must be >= 0" in err
-        assert not out.exists()
 
     # Each worker is a real thread, so only values below 1 are tested.
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, command,
                                       threads):
-        cfg = write_config(tmp_path, BASE_QFGR)
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out), "--threads", threads, command,
-                     cfg]) == 2
-        assert "config error: --threads: " in capsys.readouterr().err
-        assert not out.exists()
+        err = config_error(tmp_path, capsys, BASE_QFGR, "--threads", threads,
+                           command)
+        assert "config error: --threads: " in err
 
     # The JSON is written after the CSV into the same directory.
     @pytest.mark.parametrize("json_name", ["same.csv", "./same.csv"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_json_overwriting_csv_exit_2(self, tmp_path, capsys, command,
                                          json_name):
-        cfg = write_config(tmp_path, BASE_QFGR.replace(
+        err = config_error(tmp_path, capsys, BASE_QFGR.replace(
             "csv = out.csv", "csv = same.csv").replace(
-            "json = out.json", f"json = {json_name}"))
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out), command, cfg]) == 2
-        err = capsys.readouterr().err
+            "json = out.json", f"json = {json_name}"), command)
         assert "config error: [output].json: " in err and "same file" in err
-        assert not out.exists()
 
     # An output directory that is a file, or lies below one, cannot be
     # made: reported before the run, which would otherwise be lost.
@@ -508,6 +515,28 @@ class TestRun:
             assert residual > 1e-8
             assert res["failures"] == [
                 f"sector equations vs general generator: {residual:.3e}"]
+
+    def test_dual_path_mismatch_is_recorded(self, tmp_path, monkeypatch,
+                                            capsys):
+        # doubled connected weights in the line sum only: the specialized
+        # generator keeps its Lindblad form, so only the dual path fails
+        init = scenarios.PreparedHeatBath.__init__
+
+        def doubled(self, m):
+            init(self, m)
+            self.corr.connected_weights = 2.0 * self.corr.connected_weights
+        monkeypatch.setattr(scenarios.PreparedHeatBath, "__init__", doubled)
+        cfg = write_config(tmp_path, golden_config("heat-bath-qutrit").replace(
+            "lambda = 0.45", "lambda = 0.45 0.2"))
+        assert main(["--out-dir", str(tmp_path), "run", cfg]) == 1
+        assert "dual-path generator mismatch" in capsys.readouterr().err
+        payload = json.loads((tmp_path / "heat-bath-qutrit.json").read_text())
+        assert payload["passed"] is False and len(payload["results"]) == 2
+        for res, expected in zip(payload["results"], (0.347, 0.0548)):
+            residual = res["extras"]["dual_path_residual"]
+            assert residual == pytest.approx(expected, rel=2e-3)
+            assert res["failures"] == [
+                f"dual-path generator mismatch: {residual:.3e}"]
 
     def test_heat_bath_builds_superoperator_once(self, tmp_path, monkeypatch):
         # The partial-trace family's superoperator serves the predual

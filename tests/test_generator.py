@@ -15,6 +15,7 @@ from conftest import (
     traced_peak,
     with_signed_zeros,
 )
+from oracles import idempotency_defect
 import cglind.generator as generator_module
 import cglind.linalg as linalg_module
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
@@ -50,7 +51,8 @@ from cglind.subsystem import (
     sector_family,
     trivial_family,
 )
-from cglind.scenarios import PRESETS, gibbs_state, qfgr_two_block_model
+from cglind.scenarios import PRESETS, gibbs_state, heat_bath_generator, \
+    heat_bath_qutrit_model, qfgr_two_block_model
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -372,7 +374,7 @@ def _oracle_case(name, rng):
         ops = [0.5 * (rng.standard_normal((3, 3))
                       + 1j * rng.standard_normal((3, 3))) for _ in range(2)]
         sub = PhysicalSubsystem(ops)
-        assert sub.idempotency_defect > 1e-2
+        assert idempotency_defect(sub) > 1e-2
         return sub, random_hermitian(rng, 3), random_hermitian(rng, 3), 0.8
     raise KeyError(name)
 
@@ -583,11 +585,13 @@ def negated_lindblad_bundle():
         -np.kron(L.T, L.conj().T))
 
 
-def _nan_last(grid):
-    """expm_grid whose last propagator is all NaN."""
+def _last_altered(grid, alter, min_times=1):
+    """expm_grid that hands the last propagator of each grid of at least
+    ``min_times`` times to ``alter`` and yields its result instead."""
     def faulty(M, times):
         props = list(grid(M, times))
-        props[-1] = np.full_like(props[-1], np.nan)
+        if len(props) >= min_times:
+            props[-1] = alter(props[-1])
         yield from props
     return faulty
 
@@ -618,12 +622,34 @@ class TestCertificateFails:
         sub, H0, Hp = oblique_heat_bath(rng)
         bundle = build_generator(sub, H0, Hp, CoarseGrainSchedule(0.3, 1.0, 1.0))
         assert qds_certificate(bundle).passed
-        monkeypatch.setattr(generator_module, "expm_grid",
-                            _nan_last(generator_module.expm_grid))
+        monkeypatch.setattr(generator_module, "expm_grid", _last_altered(
+            generator_module.expm_grid, lambda P: np.full_like(P, np.nan)))
         cert = qds_certificate(bundle)
         assert not cert.passed
         assert cert.semigroup_dev is None and cert.trace_norm_growth is None
         assert np.all(np.isfinite(cert.choi_min_eig.astype(float)))
+
+    def test_decaying_identity_fails_unitality(self):
+        # G_H = -0.3 1: completely positive, but exp(tG) = e^{-0.3t} id
+        cert = qds_certificate(_bundle_with_schrodinger(-0.3 * np.eye(4)),
+                               (0.1, 1.0))
+        assert not cert.passed and np.all(cert.choi_min_eig >= -1e-15)
+        for dev in (cert.unitality_dev, cert.trace_preservation_dev):
+            np.testing.assert_allclose(dev, 1.0 - np.exp([-0.03, -0.3]),
+                                       rtol=1e-12)
+
+    def test_composition_defect_alone_fails(self, monkeypatch):
+        # 1e-8 on one entry of the last Schrödinger propagator, the sum
+        # 100 + 100; the quotient grid (the 4 times) is left as it is
+        bundle = heat_bath_generator(heat_bath_qutrit_model())
+        assert qds_certificate(bundle).semigroup_dev < 1e-13
+        monkeypatch.setattr(generator_module, "expm_grid", _last_altered(
+            generator_module.expm_grid, lambda P: P + np.diag([1e-8, 0, 0, 0]),
+            min_times=5))
+        cert = qds_certificate(bundle)
+        assert not cert.passed
+        assert cert.semigroup_dev == pytest.approx(1e-8, rel=1e-6)
+        assert cert.trace_norm_growth < 1e-13
 
 
 class TestCertificate:

@@ -1,8 +1,10 @@
 """The import graph of a run: scipy.integrate is loaded by the
 quadrature oracles on first call, never by ``import cglind.cli`` or by
-the time-domain oracle ``k_t_oracle``."""
+the time-domain oracle ``k_t_oracle``; every ``__all__`` entry resolves."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -62,3 +64,10 @@ def test_oracles_import_scipy_integrate_on_first_call():
     # the quadrature oracles; k_t_oracle carries its own Simpson rule
     proc = run_fresh(QUADRATURE_ORACLE_AFTER_FRESH_IMPORT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_all_entry_resolves():
+    for sub in ["", *(f".{m.name}" for m in pkgutil.iter_modules(cglind.__path__))]:
+        module = importlib.import_module("cglind" + sub)
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, f"{module.__name__}: {missing}"

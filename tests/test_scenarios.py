@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import kron_commutator, random_density, random_hermitian, \
-    random_unitary, scale_sector_amplitudes
+from conftest import fgr_rate_profile, general_heat_bath_bundle, \
+    kron_commutator, random_density, random_hermitian, random_unitary, \
+    scale_sector_amplitudes
 from cglind import scenarios
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
-from cglind.generator import expm, qds_certificate, steady_state
+from cglind.generator import PreparedGenerator, expm, qds_certificate, \
+    steady_state
 from cglind.linalg import (
     devectorize,
     max_abs,
@@ -17,8 +19,6 @@ from cglind.scenarios import (
     QfgrModel,
     bath_correlation,
     dual_path_residual,
-    fgr_rate_check,
-    general_heat_bath_bundle,
     gibbs_limit_study,
     gibbs_state,
     heat_bath_generator,
@@ -27,7 +27,6 @@ from cglind.scenarios import (
     qfgr_two_block_model,
     reference_heat_bath_model,
     two_sector_qubit_model,
-    weak_coupling_sweep,
 )
 from cglind.subsystem import build_projection, sector_family
 
@@ -130,18 +129,12 @@ class TestQfgrGenerator:
 
 class TestFgrRateCheck:
     def test_normalization_and_peak(self):
-        rows = fgr_rate_check([1.0, 10.0])
-        for row in rows:
-            assert abs(row.integral - 2.0 * np.pi) <= 1e-6
-            assert row.peak == pytest.approx(2.0 * np.sqrt(np.pi) * row.T,
-                                             rel=1e-9)
+        rows = [fgr_rate_profile(T) for T in (1.0, 10.0)]
+        for T, (integral, peak, _) in zip((1.0, 10.0), rows):
+            assert abs(integral - 2.0 * np.pi) <= 1e-6
+            assert peak == pytest.approx(2.0 * np.sqrt(np.pi) * T, rel=1e-9)
         # nascent-delta concentration: half width scales like 1/T
-        assert rows[0].half_width / rows[1].half_width == pytest.approx(
-            10.0, rel=1e-3)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="positive"):
-            fgr_rate_check([0.0])
+        assert rows[0][2] / rows[1][2] == pytest.approx(10.0, rel=1e-3)
 
 
 class TestBathCorrelation:
@@ -374,25 +367,22 @@ class TestProjectedErrorCurve:
 
 
 class TestWeakCouplingSweep:
+    """The error curve on the auto window [0, tau_bar / lam^2]."""
+
     def test_in_image_perturbation_is_exact(self):
         sub = build_projection(sector_family([1, 1]))
         H0 = np.diag([0.5, -0.5]).astype(complex)
         Hp = np.diag([0.4, -0.1]).astype(complex)
-        scheds = [CoarseGrainSchedule(0.5, 1.0, 1.0),
-                  CoarseGrainSchedule(0.25, 1.0, 1.0)]
-        res = weak_coupling_sweep(sub, H0, Hp, scheds, tau_bar=0.5)
-        assert all(row.error < 1e-10 for row in res.rows)
+        prepared = PreparedGenerator(sub, H0, Hp)
+        for lam in (0.5, 0.25):
+            errs = scenarios.projected_error_curve(
+                prepared.bundle(CoarseGrainSchedule(lam, 1.0, 1.0)), H0, Hp,
+                np.linspace(0.0, 0.5 / lam ** 2, 41))
+            assert np.all(errs < 1e-10)
 
     def test_time_zero_column_exact(self):
         m = heat_bath_qutrit_model()
-        sub = general_heat_bath_bundle(m).subsystem
-        H0, Hp = m.full_hamiltonian_parts()
-        res = weak_coupling_sweep(sub, H0, Hp, [m.schedule], tau_bar=0.3)
-        first = [row for row in res.rows if row.t == 0.0]
-        assert first and all(row.error < 1e-12 for row in first)
-
-    def test_rejects_oversized_space(self):
-        sub = build_projection(sector_family([17, 17]))
-        with pytest.raises(ValueError, match="32"):
-            weak_coupling_sweep(sub, np.eye(34), np.eye(34),
-                                [CoarseGrainSchedule(0.5, 1.0, 1.0)], 1.0)
+        errs = scenarios.projected_error_curve(
+            general_heat_bath_bundle(m), *m.full_hamiltonian_parts(),
+            np.linspace(0.0, 0.3 / m.schedule.lam ** 2, 41))
+        assert errs[0] < 1e-12
