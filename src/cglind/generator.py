@@ -153,13 +153,6 @@ class GeneratorBundle:
         B = self.subsystem.image_bases[0]
         return B.conj().T @ self.heisenberg @ B
 
-    def restricted_schrodinger(self):
-        """(k x k matrix, basis) of the quotient Schrödinger generator on
-        an orthonormal basis of the state image."""
-        B = self.subsystem.image_bases[1]
-        P = self.subsystem.schrodinger
-        return B.conj().T @ P @ self.schrodinger @ B, B
-
 
 def lindblad_superop(hamiltonian: np.ndarray, decay: np.ndarray,
                      jump: np.ndarray) -> np.ndarray:
@@ -503,9 +496,10 @@ def qds_certificate(bundle: GeneratorBundle,
     basis of linalg.to_real_basis (the coherence vectors of Alicki and
     Lendi, LNP 286, 1987).  The trace pairing is the Hilbert-Schmidt
     product there, so the real G_S is (V^dagger G_H V)^T, the Heisenberg
-    propagator is the Schrödinger one transposed, and the unitality and
-    trace-preservation rows check one fact; G_H(1) = 0, asserted in
-    GeneratorBundle.at_coupling, is the independent check.  Witnesses are
+    propagator is the Schrödinger one transposed, and one row, computed
+    once, is both the unitality and the trace-preservation deviation;
+    G_H(1) = 0, asserted in GeneratorBundle.at_coupling, is the
+    independent check.  Witnesses are
     read in matrix units, after the transform back.  The imaginary parts
     of V^dagger G_H V and of the transformed quotient Q are roundoff of
     products of inner dimension n = d^2 (P0 with the sandwich in G_H, P0*
@@ -529,7 +523,7 @@ def qds_certificate(bundle: GeneratorBundle,
     g_restricted = bundle.restricted_heisenberg()
 
     pairs = [(s, t) for i, s in enumerate(times) for t in times[i:]]
-    choi_min, unit_dev, tp_dev, rnorm, growth = [], [], [], [], []
+    choi_min, unit_dev, rnorm, growth = [], [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         schr = expm_grid(np.ascontiguousarray(heis.T),
                          [*times, *(s + t for s, t in pairs)])
@@ -538,9 +532,9 @@ def qds_certificate(bundle: GeneratorBundle,
             P, E = props[float(t)], expm(t * g_restricted)
             choi_min.append(_if_finite(P, lambda: is_psd(
                 choi_matrix(from_real_basis(P))).min_eig))
-            # a real-basis row f has the entry moduli of V f in matrix units
-            unit_dev.append(max_abs(from_real_basis(P.T @ eye_vec - eye_vec)))
-            tp_dev.append(max_abs(from_real_basis(eye_vec @ P - eye_vec)))
+            # a real-basis row f has the entry moduli of V f in matrix units;
+            # the Heisenberg propagator is P^T, so one row is both checks
+            unit_dev.append(max_abs(from_real_basis(eye_vec @ P - eye_vec)))
             rnorm.append(_if_finite(E, lambda: operator_norm(E)))
         semi_dev = np.max([max_abs(from_real_basis(
             lhs - props[float(s)] @ props[float(t)]))
@@ -559,13 +553,13 @@ def qds_certificate(bundle: GeneratorBundle,
         passed = bool(
             np.all(np.array(choi_min) >= -PSD_SLACK * (1.0 + d))
             and np.all(np.array(unit_dev) <= 1e-10)
-            and np.all(np.array(tp_dev) <= 1e-9)
+            and np.all(np.array(unit_dev) <= 1e-9)
             and semi_dev <= 1e-9 and growth <= 1e-9
             and max(imag_h, imag_q) <= imag_bound
         )
     return QdsCertificate(times=times, choi_min_eig=_finite(choi_min),
                           unitality_dev=_finite(unit_dev),
-                          trace_preservation_dev=_finite(tp_dev),
+                          trace_preservation_dev=_finite(unit_dev),
                           restricted_heis_norm=_finite(rnorm),
                           semigroup_dev=_finite(semi_dev),
                           trace_norm_growth=_finite(growth),
@@ -598,9 +592,10 @@ STEADY_STATE_GAP_TOL = 1e-6
 
 
 def steady_state(bundle: GeneratorBundle) -> SteadyStateResult:
-    """Nullspace of the image-restricted Schrödinger generator (singular
-    values below 1e-9 times the largest count as zero), intersected with
-    trace-one Hermitian PSD operators.
+    """Nullspace of the cached quotient Schrödinger generator on an
+    orthonormal basis of the state image (singular values below 1e-9
+    times the largest count as zero), intersected with trace-one
+    Hermitian PSD operators.
 
     Reports the nullspace dimension; when it is one, the unique state
     is returned trace-normalized.  An ambiguous singular-value gap or a
@@ -608,8 +603,8 @@ def steady_state(bundle: GeneratorBundle) -> SteadyStateResult:
     cause in ``note`` (for a gap below STEADY_STATE_GAP_TOL: the gap,
     the tolerance and their distance).
     """
-    s, B = bundle.restricted_schrodinger()
-    _, svals, vh = np.linalg.svd(s)
+    B = bundle.subsystem.image_bases[1]
+    _, svals, vh = np.linalg.svd(B.conj().T @ bundle.quotient_schrodinger @ B)
     dim_null, gap = numerical_nullity(svals, 1e-9)
     if dim_null == 0:
         return SteadyStateResult(None, 0, 0.0, True,

@@ -32,7 +32,7 @@ import numpy as np
 from .coarsegrain import CoarseGrainSchedule, T_of_lambda, coarse_grained_L, \
     pv_shift_eigenbasis
 from .generator import GeneratorBundle, PreparedGenerator, \
-    SteadyStateResult, steady_state
+    SteadyStateResult, _semigroup_times, steady_state
 from .linalg import (
     devectorize,
     expm_grid,
@@ -353,24 +353,18 @@ def heat_bath_generator(m: HeatBathModel) -> GeneratorBundle:
 
 def dual_path_residual(general: GeneratorBundle,
                        specialized: GeneratorBundle) -> float:
-    """Max-entry mismatch of the two derivations of the same heat-bath
-    generator, the general bundle on A kron B and the specialized one on
-    B(H_A), compared through the Heisenberg action on an operator basis
-    of the embedded system algebra."""
-    dA = specialized.dim
-    dB = general.dim // dA
-    eyeB = np.eye(dB, dtype=complex)
-    worst = 0.0
-    for r in range(dA):
-        for c in range(dA):
-            E = np.zeros((dA, dA), dtype=complex)
-            E[r, c] = 1.0
-            lhs = devectorize(general.heisenberg
-                              @ vectorize(np.kron(E, eyeB)), dA * dB)
-            rhs = np.kron(devectorize(specialized.heisenberg @ vectorize(E),
-                                      dA), eyeB)
-            worst = max(worst, max_abs(lhs - rhs))
-    return worst
+    """Max-entry mismatch max|G J - J G_A| of the two derivations of the
+    same heat-bath generator, the general bundle G on A kron B and the
+    specialized one G_A on B(H_A).  J is the embedding vec(X) ->
+    vec(X kron 1_B) of the system algebra, entries 0 or 1: column
+    k = c d_A + r, vec(E_rc), has a 1 at each vec index of E_rc kron 1_B."""
+    dA, d = specialized.dim, general.dim
+    dB = d // dA
+    c, r = np.divmod(np.arange(dA * dA), dA)
+    beta = np.arange(dB)[:, None]
+    J = np.zeros((d * d, dA * dA))
+    J[(c * dB + beta) * d + r * dB + beta, np.arange(dA * dA)] = 1.0
+    return max_abs(general.heisenberg @ J - J @ specialized.heisenberg)
 
 
 @dataclass
@@ -419,7 +413,10 @@ def projected_error_curve(bundle: GeneratorBundle, H0: np.ndarray,
                           ) -> np.ndarray:
     """Spectral-norm difference, on the observable image, between the
     exact projected evolution P0 exp(t(Z + lam A)) P0 and the semigroup
-    approximation ``bundle`` of H0 + lam H', per time point."""
+    approximation ``bundle`` of H0 + lam H', per time point.  The
+    semigroup is defined for t >= 0 only, so a negative time raises
+    ValueError."""
+    times = _semigroup_times(times)
     sub, lam = bundle.subsystem, bundle.schedule.lam
     d = sub.dim
     B = sub.image_bases[0]
@@ -428,7 +425,6 @@ def projected_error_curve(bundle: GeneratorBundle, H0: np.ndarray,
     g = bundle.restricted_heisenberg()
 
     evals, evecs = np.linalg.eigh(H0 + lam * Hp)
-    times = np.asarray(list(times), dtype=float)
     errors = np.empty(len(times))
     for idx, (t, prop) in enumerate(zip(times, expm_grid(g, times))):
         U = evecs @ np.diag(np.exp(1j * evals * t)) @ evecs.conj().T

@@ -19,11 +19,13 @@ import numpy as np
 
 from .linalg import (
     devectorize,
+    from_real_basis,
     image_basis,
     max_abs,
     numerical_nullity,
     require_hermitian,
     require_square,
+    to_real_basis,
     trace_pairing_adjoint,
     vectorize,
 )
@@ -75,11 +77,11 @@ def commutant(sub: PhysicalSubsystem) -> CommutantResult:
     For families too large to stack (dims above ~16) the Gram matrix N
     of the stacked map (``_gram``) is used instead.  For any Kraus
     family the generator set {V_a, V_a†} is closed under †, so N(X†) =
-    N(X)†: on the Hermitian orthonormal basis {E_aa, (E_ab + E_ba)/√2,
-    i(E_ab - E_ba)/√2} N is real symmetric.  That form is gathered from
-    N by index and diagonalized by a real ``eigh``; only the null
-    vectors are mapped back (Hermitian basis operators).  The effective
-    zero threshold is sqrt-limited to 1e-7 by double precision there.
+    N(X)†: N is real symmetric in the Hermitian basis of
+    linalg.to_real_basis, where a real ``eigh`` diagonalizes it; only
+    the null vectors are mapped back (Hermitian basis operators).  The
+    effective zero threshold is sqrt-limited to 1e-7 by double
+    precision there.
     """
     d = sub.dim
     dd = d * d
@@ -96,23 +98,10 @@ def commutant(sub: PhysicalSubsystem) -> CommutantResult:
         dim_null, gap = numerical_nullity(svals, 1e-9)
         null = vh[len(svals) - dim_null:].conj()  # smallest singular values
     else:
-        N = _gram(sub)
-        # vec index of E_ab is b d + a: the diagonal, then E_ab and E_ba
-        # for a < b; c = 1/√2 is the basis normalization.
-        a, b = np.triu_indices(d, 1)
-        diag, p, q, c = np.arange(d) * (d + 1), b * d + a, a * d + b, np.sqrt(0.5)
-        cols = np.hstack([N[:, diag], c * (N[:, p] + N[:, q]),
-                          1j * c * (N[:, p] - N[:, q])])
-        evals, evecs = np.linalg.eigh(np.vstack([
-            cols[diag].real, c * (cols[p] + cols[q]).real,
-            c * (cols[p] - cols[q]).imag]))
+        evals, evecs = np.linalg.eigh(to_real_basis(_gram(sub))[0])
         svals = np.sqrt(np.clip(evals[::-1], 0.0, None))
         dim_null, gap = numerical_nullity(svals, 1e-7)
-        r = evecs[:, :dim_null][:, ::-1].T
-        null = np.empty((dim_null, dd), dtype=complex)
-        null[:, diag] = r[:, :d]
-        null[:, p] = c * (r[:, d:d + len(p)] + 1j * r[:, d + len(p):])
-        null[:, q] = null[:, p].conj()
+        null = [from_real_basis(v) for v in evecs[:, :dim_null][:, ::-1].T]
 
     basis = [devectorize(v, d) for v in null]
     return CommutantResult(basis=basis, dimension=dim_null,

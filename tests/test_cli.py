@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -437,18 +438,19 @@ class TestRun:
     # heat-bath run builds the partial-trace and the trivial subsystem.
     # Schrödinger duals are derived only where read: one subsystem's
     # (cached), and per coupling one for each read of a generator's dual,
-    # which is not cached: the Choi test's, the certified bundle's cached
-    # quotient and, for a heat bath, the steady state's (the certificate
-    # transposes G_H in the real Hermitian basis instead).  The checked build applies P0* to its
-    # probes by index permutation and forms neither P0* nor the Gram
-    # matrix.  The qubit-gibbs full space is d = 8, so its Choi test reads
-    # the general dual; the partial-trace subsystem's own dual is never
-    # read.
+    # which is not cached: the Choi test's and the certified bundle's
+    # cached quotient, which the steady state, the evolution and the
+    # certificate all read (the certificate transposes G_H in the real
+    # Hermitian basis instead of reading G_S).  The checked build applies
+    # P0* to its probes by index permutation and forms neither P0* nor the
+    # Gram matrix.  The qubit-gibbs full space is d = 8, so its Choi test
+    # reads the general dual; the partial-trace subsystem's own dual is
+    # never read.
     @pytest.mark.parametrize("text, couplings, expected", [
         (GIBBS, ("lambda = 0.3 0.1", "lambda = 0.3 0.2 0.1"),
          {"partial_trace_family": 1, "build_projection": 2,
           "bath_correlation": 1, "_covariance_defect": 1, "lamb_shift": 3,
-          "trace_pairing_adjoint": 1 + 3 * 3, "_gram": 0}),
+          "trace_pairing_adjoint": 1 + 3 * 2, "_gram": 0}),
         (BASE_QFGR, ("lambda = 0.5 0.25", "lambda = 0.5 0.25 0.1"),
          {"partial_trace_family": 0, "build_projection": 1,
           "bath_correlation": 0, "_covariance_defect": 1, "lamb_shift": 3,
@@ -537,6 +539,32 @@ class TestRun:
             assert residual == pytest.approx(expected, rel=2e-3)
             assert res["failures"] == [
                 f"dual-path generator mismatch: {residual:.3e}"]
+
+    # The remaining invariant failures of a coupling, each injected at the
+    # cli function that produces its witness: exactly that failure is
+    # recorded, in the JSON and on stderr, and both outputs are written.
+    @pytest.mark.parametrize("name, fault, message", [
+        ("is_psd", lambda res: res._replace(min_eig=-1e-3),
+         "Choi minimum eigenvalue -1.000e-03"),
+        ("evolve", lambda traj: replace(
+            traj, min_eig=np.append(traj.min_eig[:-1], -1e-3)),
+         "state eigenvalue -1.000e-03 < -1e-9"),
+        ("qds_certificate", lambda cert: replace(cert, passed=False),
+         "semigroup certificate failed"),
+    ], ids=["choi", "state", "certificate"])
+    def test_single_fault_is_recorded(self, tmp_path, monkeypatch, capsys,
+                                      name, fault, message):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *args, **kw: fault(original(*args, **kw)))
+        cfg = write_config(tmp_path, BASE_QFGR)
+        assert main(["--out-dir", str(tmp_path), "run", cfg]) == 1
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 2 * 4
+        payload = json.loads((tmp_path / "out.json").read_text())
+        assert payload["passed"] is False
+        assert [res["failures"] for res in payload["results"]] == [[message]] * 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"invariant failure (lambda={lam}): {message}" for lam in (0.5, 0.25)]
 
     def test_heat_bath_builds_superoperator_once(self, tmp_path, monkeypatch):
         # The partial-trace family's superoperator serves the predual

@@ -137,6 +137,26 @@ class TestFgrRateCheck:
         assert rows[0][2] / rows[1][2] == pytest.approx(10.0, rel=1e-3)
 
 
+    def test_library_rate_normalization(self):
+        # the 0 -> 1 rate lam^2 |L_10|^2 = lam^2 h^2 2 sqrt(pi) T
+        # exp(-T^2 D^2) of the built generator, read over the splitting D:
+        # its integral is 2 pi lam^2 h^2 and its peak 2 sqrt(pi) T lam^2 h^2.
+        # The trapezoid error on |D| <= 8 / T with step 1 / (4 T) is below
+        # exp(-64), so both hold to roundoff (a few ulps per term).
+        lam, h = 0.5, 0.3
+        for T in (1.0, 10.0):
+            sched = CoarseGrainSchedule(lam=lam, xi=1.0, T_ref=T / 2)
+            grid = np.linspace(-8.0 / T, 8.0 / T, 65)
+            rates = np.array([qfgr_generator(QfgrModel(
+                [1, 1], np.diag([0.0, D]), h * SX, sched)).sector.schrodinger[3, 0]
+                for D in grid])
+            assert max_abs(rates.imag) == 0.0
+            assert np.trapezoid(rates.real, grid) == pytest.approx(
+                2.0 * np.pi * lam ** 2 * h ** 2, rel=1e-13)
+            assert rates[32].real == pytest.approx(
+                2.0 * np.sqrt(np.pi) * T * lam ** 2 * h ** 2, rel=1e-13)
+
+
 class TestBathCorrelation:
     def test_identity_coupling_is_constant(self):
         m = HeatBathModel(H_A=SZ, H_B=np.diag([0.0, 1.0]).astype(complex),
@@ -364,6 +384,15 @@ class TestProjectedErrorCurve:
                                               (t for t in times))
         assert expected[1] > 1e-3
         assert got.tobytes() == expected.tobytes()
+
+
+    @pytest.mark.parametrize("t", [-1.0, -5.0])
+    def test_negative_time_rejected(self, t):
+        # exp(tG) for t < 0 is not the semigroup, as in evolve
+        m = two_sector_qubit_model()
+        bundle = qfgr_generator(m).bundle
+        with pytest.raises(ValueError, match="negative time"):
+            scenarios.projected_error_curve(bundle, m.H0, m.Hp, [0.0, t])
 
 
 class TestWeakCouplingSweep:
