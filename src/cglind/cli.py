@@ -41,11 +41,9 @@ row-major "re im" pairs)::
         0.7 0  -0.1 0
 
 Exit codes: 0 when every asserted invariant passed, 1 on invariant
-failure (witnesses in the JSON summary), 2 on a config error (a parse
-error, a model that cannot be built, an output directory that is or
-lies below a file, or times t whose propagator exp(t G) needs more
-than the 64 squarings of ``expm``; nothing is written).  The CSV is
-byte-identical across repeated runs with the same config and seed.
+failure (witnesses in the JSON summary), 2 on a config error (nothing is
+written).  ``FIELDS`` lists every key a config may hold, as does the
+README.  The CSV is byte-identical for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -58,8 +56,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -83,7 +81,7 @@ from .scenarios import (
 )
 from .subsystem import build_projection, partial_trace_family
 
-__all__ = ["main", "run_config", "ScenarioConfig", "RunReport"]
+__all__ = ["main", "run_config", "FIELDS", "ScenarioConfig", "RunReport"]
 
 OUT_DIR_ENV = "CGLIND_OUT_DIR"
 FULL_CHOI_DIM_LIMIT = 9
@@ -98,21 +96,21 @@ class ConfigError(Exception):
         super().__init__("; ".join(f"{f}: {m}" for f, m in self.issues))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
     kind: str
-    preset: Optional[str]
-    sector_dims: Optional[list]
-    matrices: Dict[str, np.ndarray]
-    beta: Optional[float]
+    preset: Optional[str] = None
+    sector_dims: Optional[list] = None
+    matrices: Dict[str, np.ndarray] = field(default_factory=dict)
+    beta: Optional[float] = None
     lambdas: List[float]
     xi: float
     t_ref: float
     time_mode: str
-    t_start: float
-    t_stop: float
+    t_start: float = 0.0
+    t_stop: float = 10.0
     t_count: int
-    tau_bar: float
+    tau_bar: float = 1.0
     seed: int
     csv_name: str
     json_name: str
@@ -126,143 +124,151 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _parse_floats(raw: str) -> List[float]:
-    return [_finite(tok) for tok in raw.split()]
+@dataclass(frozen=True)
+class Field:
+    """One config key: ``[section].key`` fills the ScenarioConfig field
+    ``attr`` (None: an entry of ``matrices``) with ``cast(raw)``.
+    ``default`` ``...`` marks a required key.  A failed cast reports
+    ``bad``, a value the first of the (ok, message) ``rules`` it fails.
+    A key with a ``when`` is an error in configs without that property,
+    where the field keeps its ScenarioConfig default."""
+    section: str
+    key: str
+    attr: Optional[str]
+    cast: Callable = str
+    default: Any = ...
+    rules: tuple = ()
+    when: str = ""
+    bad: str = "bad value {raw!r}: {exc}"
+
+
+MODES = {mode: f"[time] mode = {mode}" for mode in ("explicit", "auto")}
+INLINE = {kind: f"kind = {kind} and no preset" for kind in MATRIX_KEYS}
+_FORWARD = " must be >= 0 (the semigroup runs forward in time), got {}"
+FIELDS = (
+    Field("scenario", "kind", "kind", rules=(
+        (lambda v: v in MATRIX_KEYS, "kind must be qfgr or heat_bath, got {!r}"),)),
+    Field("scenario", "preset", "preset", default=None, rules=(
+        (lambda v: v in PRESETS, "unknown preset {!r}; see 'presets list'"),)),
+    *(Field("scenario", key, None, matrix_from_text, when=INLINE[kind], bad="{exc}")
+      for kind, keys in MATRIX_KEYS.items() for key in keys),
+    Field("scenario", "sector_dims", "sector_dims",
+          lambda raw: [int(t) for t in raw.split()], when=INLINE["qfgr"],
+          bad="expected integers, got {raw!r}", rules=((
+              lambda v: sum(v) <= FULL_CHOI_DIM_LIMIT, "sector scenarios need total "
+              f"dimension <= {FULL_CHOI_DIM_LIMIT} (full-space certificates)"),)),
+    Field("scenario", "beta", "beta", _finite, when=INLINE["heat_bath"]),
+    Field("schedule", "lambda", "lambdas",
+          lambda raw: [_finite(tok) for tok in raw.split()], rules=(
+              (bool, "need at least one coupling value"),
+              (lambda v: 0.0 not in v, "lambda must be nonzero (the semigroup "
+               "construction requires a nonzero coupling)"))),
+    Field("schedule", "xi", "xi", _finite, rules=(
+        (lambda v: 0.0 < v < 2.0, "xi must satisfy 0 < xi < 2, got {}"),)),
+    Field("schedule", "t_ref", "t_ref", _finite, rules=(
+        (lambda v: v > 0.0, "t_ref must be positive, got {}"),)),
+    Field("time", "mode", "time_mode", default="explicit", rules=(
+        (lambda v: v in MODES, "mode must be explicit or auto, got {!r}"),)),
+    Field("time", "start", "t_start", _finite, 0.0,
+          ((lambda v: v >= 0.0, "start" + _FORWARD),), MODES["explicit"]),
+    Field("time", "stop", "t_stop", _finite, ...,
+          ((lambda v: v >= 0.0, "stop" + _FORWARD),), MODES["explicit"]),
+    Field("time", "count", "t_count", int, 6,
+          ((lambda v: v >= 1, "count must be >= 1, got {}"),)),
+    Field("time", "tau_bar", "tau_bar", _finite, ...,
+          ((lambda v: v > 0.0, "tau_bar must be positive, got {}"),), MODES["auto"]),
+    Field("run", "seed", "seed", int, 0,
+          ((lambda v: v >= 0, "seed must be nonnegative, got {}"),)),
+    Field("output", "csv", "csv_name", default="run.csv"),
+    Field("output", "json", "json_name", default="run.json"),
+)
+SECTIONS = {section: [f.key for f in FIELDS if f.section == section]
+            for section in dict.fromkeys(f.section for f in FIELDS)}
+
+
+def _read(cp, f: Field, issues: list):
+    """The value of one applicable field, or None with its issue recorded."""
+    name, raw = f"[{f.section}].{f.key}", cp.get(f.section, f.key, fallback=None)
+    if raw is None:
+        if f.default is ...:
+            issues.append((name, f"missing required field {f.key}"))
+        return None if f.default is ... else f.default
+    try:
+        value = f.cast(raw)
+    except (TypeError, ValueError) as exc:
+        issues.append((name, f.bad.format(raw=raw, exc=exc)))
+        return None
+    for ok, message in f.rules:
+        if not ok(value):
+            issues.append((name, message.format(value)))
+            return None
+    return value
 
 
 def parse_config(path: str) -> ScenarioConfig:
-    """Parse and semantically validate a config file.  All problems are
-    collected and raised together as a ConfigError."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    issues = []
-    if not read:
-        raise ConfigError([("file", f"cannot read config file {path!r}")])
-
-    def need(section, key, cast=str, default=None):
-        if not cp.has_option(section, key):
-            if default is None:
-                issues.append((f"[{section}].{key}",
-                               f"missing required field {key}"))
-            return default
-        raw = cp.get(section, key)
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            issues.append((f"[{section}].{key}", f"bad value {raw!r}: {exc}"))
-            return None
-
-    kind = need("scenario", "kind")
-    if kind is not None and kind not in ("qfgr", "heat_bath"):
-        issues.append(("[scenario].kind",
-                       f"kind must be qfgr or heat_bath, got {kind!r}"))
+    """Parse a config file and validate it against FIELDS, then the rules
+    that join several fields.  All problems are collected and raised
+    together as a ConfigError."""
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    try:  # no header names the default section "", so [DEFAULT] is stray
+        if not cp.read(path, encoding="utf-8"):
+            raise ConfigError([("file", f"cannot read config file {path!r}")])
+    except (configparser.Error, UnicodeDecodeError) as exc:  # not INI text
+        raise ConfigError([("file", str(exc))]) from exc
+    issues, values, matrices = [], {}, {}
+    for section in cp.sections():
+        if section not in SECTIONS:
+            issues.append((f"[{section}]", "unknown section; the sections are "
+                           + ", ".join(SECTIONS)))
+        issues.extend((f"[{section}].{key}", f"unknown key; [{section}] takes "
+                       + ", ".join(SECTIONS[section])) for key in cp[section]
+                      if key not in SECTIONS.get(section, [key]))
     preset = cp.get("scenario", "preset", fallback=None)
-    if preset is not None and preset not in PRESETS:
-        issues.append(("[scenario].preset",
-                       f"unknown preset {preset!r}; see 'presets list'"))
-        raise ConfigError(issues)
+    kind = cp.get("scenario", "kind", fallback=None) if preset is None else None
+    context = {"", MODES.get(cp.get("time", "mode", fallback="explicit"), ""),
+               INLINE.get(kind, "")}
+    for f in FIELDS:
+        if f.when not in context:
+            if cp.has_option(f.section, f.key):
+                issues.append((f"[{f.section}].{f.key}",
+                               f"{f.key} applies only with {f.when}"))
+        elif f.attr:
+            values[f.attr] = _read(cp, f, issues)
+        elif (matrix := _read(cp, f, issues)) is not None:
+            matrices[f.key] = matrix
 
-    sector_dims = None
-    matrices: Dict[str, np.ndarray] = {}
-    beta = None
-    if preset is None and kind in MATRIX_KEYS:
-        for key in MATRIX_KEYS[kind]:
-            raw = need("scenario", key)
-            if raw is not None:
-                try:
-                    matrices[key] = matrix_from_text(raw)
-                except ValueError as exc:
-                    issues.append((f"[scenario].{key}", str(exc)))
-        if kind == "qfgr":
-            raw = need("scenario", "sector_dims")
-            if raw is not None:
-                try:
-                    sector_dims = [int(t) for t in raw.split()]
-                except ValueError:
-                    issues.append(("[scenario].sector_dims",
-                                   f"expected integers, got {raw!r}"))
-            if sector_dims is not None and sum(sector_dims) > FULL_CHOI_DIM_LIMIT:
-                issues.append(("[scenario].sector_dims",
-                               "sector scenarios need total dimension <= "
-                               f"{FULL_CHOI_DIM_LIMIT} (full-space certificates)"))
-        else:
-            beta = need("scenario", "beta", _finite)
-            if "h_a" in matrices and "h_b" in matrices:
-                full = matrices["h_a"].shape[0] * matrices["h_b"].shape[0]
-                if full > 32:
-                    issues.append(("[scenario].h_b",
-                                   f"full space dimension {full} exceeds the "
-                                   "sweepable limit 32"))
-    elif preset is not None:
+    if preset is not None:
+        if values["preset"] is None:  # unknown, so is its kind
+            raise ConfigError(issues)
         preset_kind = PRESETS[preset].kind
-        if kind != preset_kind:
+        if values["kind"] != preset_kind:
             issues.append(("[scenario].kind",
                            f"preset {preset!r} is a {preset_kind} scenario"))
-        kind = preset_kind
-
-    known = len(issues)
-    xi = need("schedule", "xi", _finite)
-    if xi is not None and not 0.0 < xi < 2.0:
-        issues.append(("[schedule].xi",
-                       f"xi must satisfy 0 < xi < 2, got {xi}"))
-    t_ref = need("schedule", "t_ref", _finite)
-    if t_ref is not None and t_ref <= 0.0:
-        issues.append(("[schedule].t_ref", f"t_ref must be positive, got {t_ref}"))
-    schedule_ok = len(issues) == known  # xi and t_ref present and valid
-    lambdas = need("schedule", "lambda", _parse_floats)
-    if lambdas == []:
-        issues.append(("[schedule].lambda", "need at least one coupling value"))
-    for lam in lambdas or []:
-        if lam == 0.0:
-            issues.append(("[schedule].lambda",
-                           "lambda must be nonzero (the semigroup construction "
-                           "requires a nonzero coupling)"))
-        elif schedule_ok:
+        values["kind"] = preset_kind
+    elif "h_a" in matrices and "h_b" in matrices:
+        full = matrices["h_a"].shape[0] * matrices["h_b"].shape[0]
+        if full > 32:
+            issues.append(("[scenario].h_b", f"full space dimension {full} "
+                           "exceeds the sweepable limit 32"))
+    xi, t_ref, tau_bar = values["xi"], values["t_ref"], values.get("tau_bar")
+    for lam in values["lambdas"] or []:  # None if any lambda is 0
+        if xi is not None and t_ref is not None:
             try:
                 T_of_lambda(CoarseGrainSchedule(lam=lam, xi=xi, T_ref=t_ref))
             except ValueError as exc:  # the window overflows
                 issues.append(("[schedule].lambda", str(exc)))
-
-    time_mode = need("time", "mode", default="explicit")
-    if time_mode not in ("explicit", "auto"):
-        issues.append(("[time].mode",
-                       f"mode must be explicit or auto, got {time_mode!r}"))
-    t_start = need("time", "start", _finite, default=0.0)
-    t_stop = need("time", "stop", _finite,
-                  default=(None if time_mode == "explicit" else 10.0))
-    t_count = need("time", "count", int, default=6)
-    tau_bar = need("time", "tau_bar", _finite,
-                   default=(None if time_mode == "auto" else 1.0))
-    if t_count is not None and t_count < 1:
-        issues.append(("[time].count", f"count must be >= 1, got {t_count}"))
-    for key, value in (("start", t_start), ("stop", t_stop)):
-        if time_mode == "explicit" and value is not None and value < 0:
-            issues.append((f"[time].{key}", f"{key} must be >= 0 (the "
-                           f"semigroup runs forward in time), got {value}"))
-    if time_mode == "auto" and tau_bar is not None and tau_bar <= 0:
-        issues.append(("[time].tau_bar", f"tau_bar must be positive, got {tau_bar}"))
-    elif time_mode == "auto" and tau_bar is not None:
-        for lam in filter(None, lambdas or []):  # lambda = 0 reported above
-            if not (lam * lam > 0.0 and np.isfinite(tau_bar / (lam * lam))):
-                issues.append(("[schedule].lambda", "auto window end tau_bar / "
-                               f"lambda^2 is not finite for lambda = {lam}"))
-
-    seed = need("run", "seed", int, default=0)
-    if seed is not None and seed < 0:
-        issues.append(("[run].seed", f"seed must be nonnegative, got {seed}"))
-    csv_name = need("output", "csv", default="run.csv")
-    json_name = need("output", "json", default="run.json")
+        if tau_bar is not None and not (lam * lam > 0.0
+                                        and np.isfinite(tau_bar / (lam * lam))):
+            issues.append(("[schedule].lambda", "auto window end tau_bar / "
+                           f"lambda^2 is not finite for lambda = {lam}"))
+    csv_name, json_name = values["csv_name"], values["json_name"]
     if os.path.normpath(json_name) == os.path.normpath(csv_name):
         issues.append(("[output].json", f"json and csv name the same file "
                        f"{json_name!r}; the JSON would overwrite the CSV"))
 
     if issues:
         raise ConfigError(issues)
-    cfg = ScenarioConfig(
-        kind=kind, preset=preset, sector_dims=sector_dims, matrices=matrices,
-        beta=beta, lambdas=lambdas, xi=xi, t_ref=t_ref, time_mode=time_mode,
-        t_start=t_start, t_stop=t_stop, t_count=t_count, tau_bar=tau_bar,
-        seed=seed, csv_name=csv_name, json_name=json_name)
+    cfg = ScenarioConfig(matrices=matrices, **values)
     try:
         _build_model(cfg)
     except ValueError as exc:  # shapes, Hermiticity, beta, covariance
@@ -416,13 +422,6 @@ def _write_csv(path: str, report: RunReport) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _config_echo(cfg: ScenarioConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    echo["matrices"] = {k: [v.shape[0], v.shape[1]]
-                        for k, v in cfg.matrices.items()}
-    return echo
-
-
 def _write_json(path: str, cfg: ScenarioConfig, report: RunReport) -> None:
     """Strict JSON, with a missing (NaN) Gibbs distance written as null."""
     gibbs = report.gibbs_distances and [
@@ -430,7 +429,8 @@ def _write_json(path: str, cfg: ScenarioConfig, report: RunReport) -> None:
         for g in report.gibbs_distances]
     payload = {
         "tool_version": __version__,
-        "config": _config_echo(cfg),
+        "config": dict(dataclasses.asdict(cfg), matrices={
+            k: list(v.shape) for k, v in cfg.matrices.items()}),
         "kind": report.kind,
         "wall_clock_s": report.wall_clock_s,
         "passed": report.passed(),

@@ -483,9 +483,10 @@ def qds_certificate(bundle: GeneratorBundle,
     """Certify semigroup properties at sampled times.
 
     Per time t: the Choi matrix of the Schrödinger propagator must be
-    PSD within PSD_SLACK (1 + d); the Heisenberg propagator must fix the
-    identity (residual <= 1e-10) and its dual must preserve the trace
-    functional (<= 1e-9).  The composition law exp((s+t)G) =
+    PSD within PSD_SLACK (1 + d), and the Heisenberg propagator must fix
+    the identity (residual <= 1e-10); that row is also the
+    trace-preservation row (below), so ``trace_preservation_dev`` repeats
+    it under the same bound.  The composition law exp((s+t)G) =
     exp(sG) exp(tG) is checked on all sample pairs (<= 1e-9), and the
     trace norm of three evolved sampled states must not grow by more
     than 1e-9.  The spectral norm of the image-restricted Heisenberg
@@ -553,7 +554,6 @@ def qds_certificate(bundle: GeneratorBundle,
         passed = bool(
             np.all(np.array(choi_min) >= -PSD_SLACK * (1.0 + d))
             and np.all(np.array(unit_dev) <= 1e-10)
-            and np.all(np.array(unit_dev) <= 1e-9)
             and semi_dev <= 1e-9 and growth <= 1e-9
             and max(imag_h, imag_q) <= imag_bound
         )

@@ -337,6 +337,72 @@ class TestValidate:
         assert sorted(os.listdir(tmp_path)) == before
         assert taken.read_text() == "keep\n"
 
+    # A key outside FIELDS, a [DEFAULT] key, a misspelled section, and a
+    # key used outside the configs it applies to are named, never ignored.
+    @pytest.mark.parametrize("text, old, new, field", [
+        (BASE_QFGR, "seed = 0", "sed = 4", "[run].sed"),
+        (BASE_QFGR, "[schedule]", "[schedul]", "[schedul]"),
+        (BASE_QFGR, "[scenario]", "[DEFAULT]\nseed = 1\n\n[scenario]",
+         "[DEFAULT]"),
+        (BASE_QFGR, "count = 4", "count = 4\ntau_bar = 0.2", "[time].tau_bar"),
+        (AUTO_SMALL_XI, "tau_bar = 0.2", "tau_bar = 0.2\nstart = 0.0",
+         "[time].start"),
+        (AUTO_SMALL_XI, "tau_bar = 0.2", "tau_bar = 0.2\nstop = 6.0",
+         "[time].stop"),
+        (BASE_QFGR, "kind = qfgr", "kind = qfgr\nh0 = 1 1\n    0 0",
+         "[scenario].h0"),
+        (GIBBS, "kind = heat_bath", "kind = heat_bath\nbeta = 1.0",
+         "[scenario].beta"),
+        (BASE_QFGR, "kind = qfgr", "kind = qfgr\nsector_dims = 1 1",
+         "[scenario].sector_dims"),
+        (INLINE_QFGR, "kind = qfgr", "kind = qfgr\nbeta = 1.0",
+         "[scenario].beta"),
+        (INLINE_QFGR, "kind = qfgr", "kind = qfgr\nh_a = 1 1\n    0 0",
+         "[scenario].h_a"),
+        (INLINE_HEAT_BATH, "beta = 1.0", "beta = 1.0\nsector_dims = 2",
+         "[scenario].sector_dims"),
+        (INLINE_HEAT_BATH, "beta = 1.0", "beta = 1.0\nhp = 1 1\n    0 0",
+         "[scenario].hp"),
+    ], ids=["stray-key", "misspelled-section", "default-section",
+            "tau_bar-explicit", "start-auto", "stop-auto", "matrix-preset",
+            "beta-preset", "sector_dims-preset", "beta-qfgr", "h_a-qfgr",
+            "sector_dims-heat-bath", "hp-heat-bath"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_key_outside_contract_exit_2(self, tmp_path, capsys, text, old,
+                                         new, field, command):
+        assert old in text
+        err = config_error(tmp_path, capsys, text.replace(old, new), command)
+        assert f"config error: {field}: " in err
+
+    # Text that is not INI is a config error on the file, not a traceback.
+    @pytest.mark.parametrize("old, new", [
+        ("xi = 1.0", "xi = 1.0\nxi = 1.5"),
+        ("[scenario]", "kind = qfgr\n[scenario]"),
+        ("seed = 0", "seed"),
+    ], ids=["duplicate-key", "no-section-header", "key-without-value"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_malformed_ini_exit_2(self, tmp_path, capsys, old, new, command):
+        err = config_error(tmp_path, capsys, BASE_QFGR.replace(old, new),
+                           command)
+        assert err.startswith("config error: file: ")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(BASE_QFGR.replace("[run]", "; caf\xe9\n[run]")
+                        .encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), command, str(cfg)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: file: ")
+
+    def test_percent_taken_literally(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_QFGR.replace("csv = out.csv",
+                                                       "csv = 100%.csv"))
+        assert parse_config(cfg).csv_name == "100%.csv"
+        assert main(["--out-dir", str(tmp_path / "out"), "run", cfg]) == 0
+        assert (tmp_path / "out" / "100%.csv").exists()
+
     def test_parse_config_collects_issues(self, tmp_path):
         cfg = write_config(tmp_path, BASE_QFGR
                            .replace("xi = 1.0", "xi = 2.5")

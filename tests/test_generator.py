@@ -31,6 +31,7 @@ from cglind.generator import (
 )
 from cglind.linalg import (
     EXPM_SCALE_TARGET,
+    PSD_SLACK,
     choi_matrix,
     devectorize,
     expm,
@@ -637,6 +638,28 @@ class TestCertificateFails:
         for dev in (cert.unitality_dev, cert.trace_preservation_dev):
             np.testing.assert_allclose(dev, 1.0 - np.exp([-0.03, -0.3]),
                                        rtol=1e-12)
+
+    def test_hermiticity_defect_alone_fails(self):
+        # dephasing G_H = 0.5 (sz X sz - X) plus i eps (X -> X - Tr(X)/2 1):
+        # G(1) = 0 still holds, but i eps maps a Hermitian X to an
+        # anti-Hermitian one, so V^dagger G_H V has imaginary part eps;
+        # the propagators are formed from its real part, the dephasing
+        # semigroup, and every other witness is roundoff.  eps is a small
+        # multiple of the bound, so a bound 1000 times looser misses it.
+        eps = 1e-12
+        traceless = np.eye(4) - np.outer(vectorize(np.eye(2)),
+                                         vectorize(np.eye(2))) / 2
+        heis = 0.5 * (np.kron(SZ, SZ) - np.eye(4)) + 1j * eps * traceless
+        bundle = _bundle_with_schrodinger(trace_pairing_adjoint(heis))
+        np.testing.assert_array_equal(bundle.heisenberg, heis)
+        cert = qds_certificate(bundle)
+        assert not cert.passed
+        assert cert.real_basis_imag == pytest.approx(eps, rel=1e-9)
+        assert 1 < cert.real_basis_imag / cert.real_basis_imag_bound < 1000
+        # every other clause of ``passed`` holds, at its own bound
+        assert np.all(cert.choi_min_eig >= -PSD_SLACK * (1 + 2))
+        assert np.all(cert.unitality_dev <= 1e-10)
+        assert cert.semigroup_dev <= 1e-9 and cert.trace_norm_growth <= 1e-9
 
     def test_composition_defect_alone_fails(self, monkeypatch):
         # 1e-8 on one entry of the last Schrödinger propagator, the sum
