@@ -145,6 +145,8 @@ class Field:
 MODES = {mode: f"[time] mode = {mode}" for mode in ("explicit", "auto")}
 INLINE = {kind: f"kind = {kind} and no preset" for kind in MATRIX_KEYS}
 _FORWARD = " must be >= 0 (the semigroup runs forward in time), got {}"
+_A_FILE = ((lambda v: os.path.basename(v) not in ("", ".", ".."),
+            "{!r} names no file: its base name is empty, . or .."),)
 FIELDS = (
     Field("scenario", "kind", "kind", rules=(
         (lambda v: v in MATRIX_KEYS, "kind must be qfgr or heat_bath, got {!r}"),)),
@@ -179,8 +181,8 @@ FIELDS = (
           ((lambda v: v > 0.0, "tau_bar must be positive, got {}"),), MODES["auto"]),
     Field("run", "seed", "seed", int, 0,
           ((lambda v: v >= 0, "seed must be nonnegative, got {}"),)),
-    Field("output", "csv", "csv_name", default="run.csv"),
-    Field("output", "json", "json_name", default="run.json"),
+    Field("output", "csv", "csv_name", default="run.csv", rules=_A_FILE),
+    Field("output", "json", "json_name", default="run.json", rules=_A_FILE),
 )
 SECTIONS = {section: [f.key for f in FIELDS if f.section == section]
             for section in dict.fromkeys(f.section for f in FIELDS)}
@@ -262,9 +264,14 @@ def parse_config(path: str) -> ScenarioConfig:
             issues.append(("[schedule].lambda", "auto window end tau_bar / "
                            f"lambda^2 is not finite for lambda = {lam}"))
     csv_name, json_name = values["csv_name"], values["json_name"]
-    if os.path.normpath(json_name) == os.path.normpath(csv_name):
-        issues.append(("[output].json", f"json and csv name the same file "
-                       f"{json_name!r}; the JSON would overwrite the CSV"))
+    if csv_name and json_name:  # as directory prefixes, after normalization
+        c, j = (os.path.normpath(name) + os.sep for name in (csv_name, json_name))
+        if c == j:
+            issues.append(("[output].json", f"json and csv name the same file "
+                           f"{json_name!r}; the JSON would overwrite the CSV"))
+        elif c.startswith(j) or j.startswith(c):
+            issues.append(("[output].json", f"json {json_name!r} and csv "
+                           f"{csv_name!r}: one names a directory of the other"))
 
     if issues:
         raise ConfigError(issues)
@@ -488,12 +495,17 @@ def main(argv=None) -> int:
                                 f"got {args.threads}")])
         cfg = parse_config(args.config)
         out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-        probe = os.path.abspath(out_dir)
-        while not os.path.exists(probe):  # the nearest existing ancestor
-            probe = os.path.dirname(probe)
-        if not os.path.isdir(probe):
-            raise ConfigError([("--out-dir" if args.out_dir else f"${OUT_DIR_ENV}",
-                                f"{probe!r} exists and is not a directory")])
+        csv_path, json_path = (os.path.normpath(os.path.join(out_dir, name))
+                               for name in (cfg.csv_name, cfg.json_name))
+        parents = {"--out-dir" if args.out_dir else f"${OUT_DIR_ENV}": out_dir,
+                   **{f"[output].{key}": os.path.normpath(os.path.dirname(path))
+                      for key, path in (("csv", csv_path), ("json", json_path))}}
+        for fld, parent in parents.items():
+            probe = os.path.abspath(parent)
+            while not os.path.exists(probe):  # the nearest existing ancestor
+                probe = os.path.dirname(probe)
+            if not os.path.isdir(probe):
+                raise ConfigError([(fld, f"{probe!r} exists and is not a directory")])
     except ConfigError as exc:
         for fld, msg in exc.issues:
             print(f"config error: {fld}: {msg}", file=sys.stderr)
@@ -511,9 +523,10 @@ def main(argv=None) -> int:
         print(f"config error: {fld}: t ||G|| too large for the propagator "
               f"({exc})", file=sys.stderr)
         return 2
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, cfg.csv_name), report)
-    _write_json(os.path.join(out_dir, cfg.json_name), cfg, report)
+    for parent in parents.values():
+        os.makedirs(parent, exist_ok=True)
+    _write_csv(csv_path, report)
+    _write_json(json_path, cfg, report)
 
     if not report.passed():
         for res in report.results:

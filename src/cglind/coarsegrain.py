@@ -9,11 +9,10 @@ window width T is, entrywise in the H0 eigenbasis,
     L(w)_mn = sqrt(2 pi) * pi**(-1/4) * sqrt(T)
               * exp(-T**2 (w - D_mn)**2 / 2) * H'_mn,
 
-with D_mn = eps_m - eps_n.  This closed form is the production path;
-a truncated time-quadrature evaluator of the defining integral is kept
-alongside as the independent oracle.  No secular or rotating-wave
-grouping is performed: every formula is a smooth function of the level
-differences, so degenerate spectra need no special casing.
+with D_mn = eps_m - eps_n.  The test suite checks this closed form
+against a quadrature of the defining integral.  No secular or
+rotating-wave grouping is performed: every formula is a smooth function
+of the level differences, so degenerate spectra need no special casing.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ __all__ = [
     "CoarseGrainSchedule",
     "T_of_lambda",
     "coarse_grained_L",
-    "coarse_grained_L_quadrature",
     "pv_gaussian",
-    "pv_gaussian_quadrature",
     "pv_shift_eigenbasis",
     "lamb_shift",
 ]
@@ -96,43 +93,6 @@ def coarse_grained_L(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
     return U @ L_eig @ U.conj().T
 
 
-def coarse_grained_L_quadrature(h0_eig: EigenSystem, Hp: np.ndarray, T: float,
-                                omega: float | np.ndarray) -> np.ndarray:
-    """Oracle evaluator of the defining time integral
-
-        sqrt(1 / (sqrt(pi) T)) * int dt e^{i w t} e^{-t^2/(2T^2)} H'(t)
-
-    with H'(t) = e^{-i H0 t} H' e^{i H0 t}, truncated at |t| <= 8T and
-    integrated by the trapezoid rule on a uniform 3200-point grid.  The
-    Gaussian window makes the truncation error < 1e-12; kept deliberately
-    independent of the closed form it checks.
-
-    ``omega`` is a scalar (one d x d matrix is returned) or an array of
-    frequencies (one d x d matrix per frequency).  All frequencies share
-    the grid, so the rule is one (n_omega x n_t) @ (n_t x d^2) product
-    of the weighted phases e^{i w t} with the per-entry integrands
-    e^{-i D_mn t - t^2/(2T^2)}.
-    """
-    if T <= 0.0:
-        raise ValueError(f"window width T must be positive, got {T}")
-    Hp = require_hermitian(Hp, "Hp")
-    U = h0_eig.vectors
-    eps = h0_eig.values
-    d = len(eps)
-    delta = np.subtract.outer(eps, eps)
-    Hp_eig = U.conj().T @ Hp @ U
-    omega = np.asarray(omega, dtype=float)
-    ts = np.linspace(-8.0 * T, 8.0 * T, 3200)
-    rule = np.full_like(ts, ts[1] - ts[0])
-    rule[[0, -1]] *= 0.5
-    waves = rule * np.exp(1j * np.multiply.outer(omega.ravel(), ts))
-    entries = np.exp(-1j * np.multiply.outer(ts, delta.ravel())
-                     - (ts ** 2 / (2.0 * T * T))[:, None])
-    integral = (waves @ entries).reshape(-1, d, d) * Hp_eig
-    L_eig = integral / np.sqrt(np.sqrt(np.pi) * T)
-    return (U @ L_eig @ U.conj().T).reshape(omega.shape + (d, d))
-
-
 def pv_gaussian(mu, a: float):
     """Principal value of int dw exp(-a (w - mu)^2) / w.
 
@@ -142,34 +102,6 @@ def pv_gaussian(mu, a: float):
     if a <= 0.0:
         raise ValueError(f"Gaussian width parameter a must be positive, got {a}")
     return 2.0 * np.sqrt(np.pi) * dawsn(np.sqrt(a) * np.asarray(mu))
-
-
-def pv_gaussian_quadrature(mu: float, a: float) -> float:
-    """Quadrature oracle for :func:`pv_gaussian`: adaptive integration on
-    symmetric intervals excluding (-delta, delta), delta = 1e-3 / sqrt(a),
-    Richardson extrapolated in delta (the leading exclusion error is
-    linear).
-    """
-    # Deferred: only this oracle uses scipy.integrate, and runs never call it.
-    from scipy.integrate import quad
-    if a <= 0.0:
-        raise ValueError(f"Gaussian width parameter a must be positive, got {a}")
-    mu = float(mu)
-    sigma = 1.0 / np.sqrt(a)
-    delta = 1e-3 * sigma
-    R = abs(mu) + 14.0 * sigma
-
-    def f(w):
-        return np.exp(-a * (w - mu) ** 2) / w
-
-    def excluded(dlt):
-        right, _ = quad(f, dlt, R, epsabs=1e-13, epsrel=1e-12, limit=400)
-        left, _ = quad(f, -R, -dlt, epsabs=1e-13, epsrel=1e-12, limit=400)
-        return right + left
-
-    coarse = excluded(delta)
-    fine = excluded(delta / 2.0)
-    return 2.0 * fine - coarse
 
 
 def pv_shift_eigenbasis(eps: np.ndarray, V_eig: np.ndarray, T: float,

@@ -394,7 +394,7 @@ def k_t_oracle(sub: PhysicalSubsystem, H0: np.ndarray, Hp: np.ndarray,
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     """scipy 1.17.1's ``cumulative_simpson(y, dx=h, axis=0, initial=0)``
-    bit for bit, without loading scipy.integrate: interval k takes
+    bit for bit, in numpy alone: interval k takes
     h/3 (5 f1/4 + 2 f2 - f3/4) over the three points that start at it if
     k is even, else (and for the last) over the three that end at it."""
     bwd = h / 3 * (5 * y[2:] / 4 + 2 * y[1:-1] - y[:-2] / 4)

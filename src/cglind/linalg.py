@@ -64,13 +64,6 @@ EXPM_TAYLOR_ORDER = 18
 EXPM_SCALE_TARGET = 0.5
 EXPM_GRID_KEPT = 4
 
-# numpy copies a broadcast or transposed operand of an elementwise op
-# into a buffer as large as the op (up to 8192 elements); the streamed
-# kernels split such ops into pieces of at most this many elements, or
-# of one row where a row is longer, so the buffers stay small next to
-# a d^2 x d^2 array.
-ELEMENTWISE_CHUNK = 256
-
 
 def max_abs(M: np.ndarray) -> float:
     """Largest absolute entry (max norm)."""
@@ -91,9 +84,16 @@ def require_square(M: np.ndarray, name: str = "matrix",
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M†)/2."""
+    """Hermitian part (M + M†)/2, in one C-ordered copy: the same sums
+    and halvings as 0.5 * (M + M.conj().T), hence the same bits.  The
+    transpose is copied before it is conjugated: a ufunc reading it
+    would buffer 8192 elements."""
     M = np.asarray(M, dtype=complex)
-    return 0.5 * (M + M.conj().T)
+    H = M.T.copy()
+    np.conjugate(H, out=H)
+    H += M
+    H *= 0.5
+    return H
 
 
 def require_hermitian(M: np.ndarray, name: str = "matrix",
@@ -235,8 +235,15 @@ def _real_basis_congruence(M: np.ndarray, inverse: bool) -> np.ndarray:
     u, v = (u.conj(), u[perm]) if inverse else (u, u.conj())
     if M.ndim == 1:
         return u * M + v * M[perm]
-    M = u[:, None] * M + v[:, None] * M[perm]
-    return M * u.conj() + M[:, perm] * v.conj()
+    # the two-sided form, accumulated in place: L and R are all it holds
+    L = M[perm].astype(complex, copy=False)
+    L *= v[:, None]
+    L += u[:, None] * M
+    R = L[:, perm]
+    R *= v.conj()
+    L *= u.conj()
+    L += R
+    return L
 
 
 def to_real_basis(S: np.ndarray) -> tuple:
@@ -317,16 +324,7 @@ def is_psd(M: np.ndarray) -> PsdResult:
     """PSD test: true iff lambda_min >= -PSD_SLACK * (1 + ||M||), where
     ||M|| is the spectral norm.  The minimum eigenvalue witness is
     returned either way."""
-    M = require_square(M, "is_psd argument")
-    # hermitize(M) in one copy, with the same sums and halvings, hence
-    # the same bits; the transposed add goes a few rows at a time
-    n = M.shape[0]
-    H = M.conj().T
-    step = max(1, ELEMENTWISE_CHUNK // max(1, n))
-    for r in range(0, n, step):
-        H[r:r + step] += M[r:r + step]
-    H *= 0.5
-    eigs = np.linalg.eigvalsh(H)
+    eigs = np.linalg.eigvalsh(hermitize(require_square(M, "is_psd argument")))
     min_eig = float(eigs[0])
     norm = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
     return PsdResult(ok=min_eig >= -PSD_SLACK * (1.0 + norm), min_eig=min_eig)

@@ -243,11 +243,6 @@ class CorrelationData:
     weights: np.ndarray
     connected_weights: np.ndarray
 
-    def h(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.sum(self.weights * np.exp(1j * self.frequencies * t[..., None]),
-                      axis=-1)
-
 
 def bath_correlation(m: HeatBathModel) -> CorrelationData:
     """Exact spectral decomposition of the bath correlation function in

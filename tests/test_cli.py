@@ -337,6 +337,50 @@ class TestValidate:
         assert sorted(os.listdir(tmp_path)) == before
         assert taken.read_text() == "keep\n"
 
+    # A name whose base name is empty, . or .. names a directory: it
+    # cannot be opened as a file.
+    @pytest.mark.parametrize("key, name", [
+        ("csv", ""), ("csv", "sub/"), ("csv", "."), ("json", "."),
+        ("json", "sub/.."),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_output_name_without_file_exit_2(self, tmp_path, capsys, command,
+                                             key, name):
+        err = config_error(tmp_path, capsys, BASE_QFGR.replace(
+            f"{key} = out.{key}", f"{key} = {name}"), command)
+        assert f"config error: [output].{key}: " in err
+        assert "names no file" in err
+
+    # One name below the other: writing the first would need the second
+    # to be a directory, or the reverse.
+    @pytest.mark.parametrize("csv, json_name", [
+        ("out.csv", "out.csv/a.json"), ("sub/a/out.csv", "./sub/a")])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_output_name_below_the_other_exit_2(self, tmp_path, capsys,
+                                                command, csv, json_name):
+        err = config_error(tmp_path, capsys, BASE_QFGR.replace(
+            "csv = out.csv", f"csv = {csv}").replace(
+            "json = out.json", f"json = {json_name}"), command)
+        assert "config error: [output].json: " in err and "directory" in err
+
+    # An output name below a file of the output directory cannot be
+    # written: reported before the run, as for the output directory.
+    @pytest.mark.parametrize("key", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_output_parent_naming_a_file_exit_2(self, tmp_path, capsys,
+                                                command, key):
+        cfg = write_config(tmp_path, BASE_QFGR.replace(
+            f"{key} = out.{key}", f"{key} = taken/deeper/out.{key}"))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "taken").write_text("keep\n")
+        assert main(["--out-dir", str(out), command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [output].{key}: " in err
+        assert "not a directory" in err
+        assert sorted(os.listdir(out)) == ["taken"]
+        assert (out / "taken").read_text() == "keep\n"
+
     # A key outside FIELDS, a [DEFAULT] key, a misspelled section, and a
     # key used outside the configs it applies to are named, never ignored.
     @pytest.mark.parametrize("text, old, new, field", [
@@ -652,6 +696,24 @@ class TestRun:
         full = [S for S in returned if S.shape != (4, 4)]
         assert len(full) >= 2
         assert len({id(S) for S in full}) == 1
+
+    def test_output_subdirectories_are_created(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_QFGR.replace(
+            "csv = out.csv", "csv = sub/out.csv").replace(
+            "json = out.json", "json = sub/deeper/../x/out.json"))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "run", cfg]) == 0
+        assert (out / "sub" / "out.csv").is_file()
+        assert (out / "sub" / "x" / "out.json").is_file()
+        assert sorted(os.listdir(out / "sub")) == ["out.csv", "x"]
+
+    def test_working_directory_is_the_default(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, BASE_QFGR)
+        monkeypatch.delenv("CGLIND_OUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", cfg]) == 0
+        assert (tmp_path / "out.csv").is_file()
+        assert (tmp_path / "out.json").is_file()
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, BASE_QFGR)

@@ -3,14 +3,13 @@ import pytest
 from scipy.integrate import simpson
 
 from conftest import random_hermitian
+from oracles import coarse_grained_L_quadrature, pv_gaussian_quadrature
 from cglind.coarsegrain import (
     CoarseGrainSchedule,
     T_of_lambda,
     coarse_grained_L,
-    coarse_grained_L_quadrature,
     lamb_shift,
     pv_gaussian,
-    pv_gaussian_quadrature,
     pv_shift_eigenbasis,
 )
 from cglind.linalg import hermitian_eig, max_abs

@@ -74,10 +74,10 @@ VALID = {
     "count": ["1", "3"],
     "tau_bar": ["0.05", "0.2"],
     "seed": ["0", "3"],
-    "csv": ["a.csv", "sub.csv"],
-    "json": ["a.json"],
+    "csv": ["a.csv", "sub.csv", "sub/a.csv"],
+    "json": ["a.json", "sub/b.json"],
 }
-# Values each key rejects on its own (json: the CSV's own name, below).
+# Values each key rejects on its own (json also: the CSV's own name, below).
 BROKEN = {
     "kind": ["custom", "QFGR"],
     "preset": ["nope"],
@@ -93,13 +93,15 @@ BROKEN = {
     "count": ["0", "1.5"],
     "tau_bar": ["0", "-0.1", "nan"],
     "seed": ["-1", "x"],
+    "csv": ["", "sub/", "."],
+    "json": ["..", "sub/."],
 }
 
 
 def test_strategies_cover_fields():
     keys = {f.key for f in FIELDS}
     assert {k for model in MODELS for k in model} | set(VALID) == keys
-    assert set(BROKEN) == keys - {"csv", "json"}
+    assert set(BROKEN) == keys
 
 
 def _holds(cfg):
@@ -124,7 +126,8 @@ def valid_configs(draw):
 
 def _outputs(cfg):
     defaults = {f.key: f.default for f in FIELDS if f.section == "output"}
-    return [cfg.get(("output", key), defaults[key]) for key in ("csv", "json")]
+    return [os.path.normpath(cfg.get(("output", key), defaults[key]))
+            for key in ("csv", "json")]
 
 
 def _render(cfg):
@@ -137,7 +140,8 @@ def _render(cfg):
 
 
 def _run(text):
-    """(exit code, stderr, files written) of ``cglind run`` on ``text``."""
+    """(exit code, stderr, files written below the output directory) of
+    ``cglind run`` on ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "cfg.ini"), os.path.join(tmp, "out")
         with open(path, "w", encoding="ascii") as fh:
@@ -146,7 +150,8 @@ def _run(text):
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             code = main(["--out-dir", out, "run", path])
-        written = sorted(os.listdir(out)) if os.path.isdir(out) else []
+        written = sorted(os.path.relpath(os.path.join(root, name), out)
+                         for root, _, names in os.walk(out) for name in names)
     return code, err.getvalue(), written
 
 
@@ -168,12 +173,11 @@ def test_one_broken_field_is_named(cfg, data):
     inapplicable = sorted(n for n in set(fields) - set(cfg)
                           if fields[n].when not in _holds(cfg))
     how = data.draw(st.sampled_from(["value", "missing", "inapplicable"]))
-    if how == "value":  # any key but csv, which no value breaks alone
-        name = data.draw(st.sampled_from(
-            [n for n in present if n[1] in BROKEN or n[1] == "json"]))
+    if how == "value":
+        name = data.draw(st.sampled_from(present))
         csv = _outputs(cfg)[0]
-        cfg[name] = data.draw(st.sampled_from(
-            [csv, "./" + csv] if name[1] == "json" else BROKEN[name[1]]))
+        cfg[name] = data.draw(st.sampled_from(BROKEN[name[1]] + (
+            [csv, "./" + csv] if name[1] == "json" else [])))
     elif how == "missing":
         name = data.draw(st.sampled_from(
             [n for n in present if fields[n].default is ...]))

@@ -1,7 +1,9 @@
-"""The import graph of a run: scipy.integrate is loaded by the
-quadrature oracles on first call, never by ``import cglind.cli`` or by
-the time-domain oracle ``k_t_oracle``; every ``__all__`` entry resolves."""
+"""The import graph: no ``cglind`` module loads scipy.integrate, the
+time-domain oracle ``k_t_oracle`` included; the test oracles share only
+a short list of ``linalg`` primitives with the production path; every
+``__all__`` entry resolves."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -11,11 +13,20 @@ import sys
 import cglind
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cglind.__file__)))
+ORACLES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "oracles.py")
+# The cglind names tests/oracles.py may import: array primitives that
+# compute no physics, so an oracle cannot agree with a faulty formula
+# by calling it.
+ORACLE_IMPORTS = {"choi_matrix", "is_psd", "max_abs", "require_hermitian",
+                  "vectorize", "to_real_basis"}
 
-CLI_IMPORT = """
-import sys
-import cglind, cglind.cli
-assert "scipy.integrate" not in sys.modules, "cglind.cli loaded scipy.integrate"
+EVERY_MODULE_IMPORT = """
+import importlib, pkgutil, sys
+import cglind
+for m in pkgutil.iter_modules(cglind.__path__):
+    importlib.import_module("cglind." + m.name)
+assert "scipy.integrate" not in sys.modules, "cglind loaded scipy.integrate"
 """
 
 K_T_ORACLE_AFTER_FRESH_IMPORT = """
@@ -33,15 +44,6 @@ K_asm, *_ = assemble_kt(sub, hermitian_eig(SZ), SX, 1.0)
 assert np.max(np.abs(K_orc - K_asm @ sub.heisenberg)) < 1e-6
 """
 
-QUADRATURE_ORACLE_AFTER_FRESH_IMPORT = """
-import sys
-from cglind.coarsegrain import pv_gaussian, pv_gaussian_quadrature
-assert "scipy.integrate" not in sys.modules
-dawson = float(pv_gaussian(0.7, 2.0))
-assert abs(pv_gaussian_quadrature(0.7, 2.0) - dawson) <= 1e-8 * abs(dawson)
-assert "scipy.integrate" in sys.modules
-"""
-
 
 def run_fresh(code):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -50,8 +52,8 @@ def run_fresh(code):
                           env=dict(os.environ, PYTHONPATH=path))
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    proc = run_fresh(CLI_IMPORT)
+def test_every_module_import_leaves_out_scipy_integrate():
+    proc = run_fresh(EVERY_MODULE_IMPORT)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -60,10 +62,32 @@ def test_k_t_oracle_leaves_out_scipy_integrate():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_oracles_import_scipy_integrate_on_first_call():
-    # the quadrature oracles; k_t_oracle carries its own Simpson rule
-    proc = run_fresh(QUADRATURE_ORACLE_AFTER_FRESH_IMPORT)
-    assert proc.returncode == 0, proc.stderr
+def shared_with_production(source):
+    """(module, name) of each cglind import in ``source`` outside
+    ``ORACLE_IMPORTS``; a plain ``import cglind...`` has name None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(a.name, None) for a in node.names
+                      if a.name.split(".")[0] == "cglind"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "cglind":
+            found += [(node.module, a.name) for a in node.names]
+    return [(module, name) for module, name in found
+            if module != "cglind.linalg" or name not in ORACLE_IMPORTS]
+
+
+def test_oracles_share_only_linalg_primitives():
+    with open(ORACLES, encoding="utf-8") as fh:
+        assert shared_with_production(fh.read()) == []
+
+
+def test_independence_check_rejects_planted_import():
+    with open(ORACLES, encoding="utf-8") as fh:
+        planted = fh.read() + \
+            "\nfrom cglind.coarsegrain import coarse_grained_L\n"
+    assert shared_with_production(planted) == [
+        ("cglind.coarsegrain", "coarse_grained_L")]
 
 
 def test_every_all_entry_resolves():

@@ -20,6 +20,7 @@ from cglind.linalg import (
     EXPM_SCALE_TARGET,
     EXPM_TAYLOR_ORDER,
     ExpmScaleError,
+    _real_basis_congruence,
     choi_matrix,
     devectorize,
     _squarings,
@@ -305,7 +306,43 @@ def _kraus_superop(rng, d, k=2):
     return sum(sandwich_superop(K, K.conj().T) for K in Ks)
 
 
+def _real_basis_two_sided(M, inverse):
+    """Reference: the congruence of ``_real_basis_congruence`` as one
+    two-sided expression with new arrays, u M + v M[perm] and then the
+    column pass."""
+    d = math.isqrt(M.shape[0])
+    b, a = np.divmod(np.arange(d * d), d)
+    r, perm = math.sqrt(0.5), a * d + b
+    u = np.where(a < b, r, np.where(a > b, 1j * r, 0.5))
+    u, v = (u.conj(), u[perm]) if inverse else (u, u.conj())
+    M = u[:, None] * M + v[:, None] * M[perm]
+    return M * u.conj() + M[:, perm] * v.conj()
+
+
 class TestRealBasis:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 32])
+    def test_congruence_matches_two_sided_bytes(self, d, rng):
+        # complex draws both ways, and real ones the way from_real_basis
+        # passes them, each with signed zeros
+        n = d * d
+        Z = _signed_zeros_like(rng, rng.standard_normal((n, n))
+                               + 1j * rng.standard_normal((n, n)))
+        R = np.ascontiguousarray(Z.real)
+        for M, inverse in ((Z, False), (Z, True), (R, True)):
+            assert _real_basis_congruence(M, inverse).tobytes() \
+                == _real_basis_two_sided(M, inverse).tobytes()
+
+    def test_memory_budget(self, rng):
+        # the result and one more d^2 x d^2 complex array, plus numpy's
+        # 8192-element buffer for a broadcast operand; the two-sided
+        # form holds four
+        n = BUDGET_DIM * BUDGET_DIM
+        Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        budget = 3 * superop_bytes(BUDGET_DIM)
+        R = np.ascontiguousarray(Z.real)
+        assert traced_peak(_real_basis_congruence, Z, False) <= budget
+        assert traced_peak(_real_basis_congruence, R, True) <= budget
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_basis_is_hermitian_and_unitary(self, d):
         n = d * d
@@ -453,6 +490,27 @@ class TestChoi:
         if d > 1:  # a random superoperator is not completely positive
             assert not is_psd(C).ok
         assert np.array_equal(C, ref)
+
+
+class TestHermitize:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33, 64])
+    def test_matches_two_sided_bytes(self, n, rng):
+        M = with_signed_zeros(rng, rng.standard_normal((n, n))
+                              + 1j * rng.standard_normal((n, n)))
+        M.real[rng.random((n, n)) < 0.05] = np.inf
+        M.imag[rng.random((n, n)) < 0.05] = -np.inf
+        M[rng.random((n, n)) < 0.05] = np.nan
+        with np.errstate(invalid="ignore"):
+            for X in (M, M.T, np.asfortranarray(M), M.real):
+                H, Xc = hermitize(X), X.astype(complex)
+                assert H.flags.c_contiguous
+                assert H.tobytes() == (0.5 * (Xc + Xc.conj().T)).tobytes()
+
+    def test_memory_budget(self, rng):
+        # the result alone: the transpose is never buffered
+        n = BUDGET_DIM * BUDGET_DIM
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert traced_peak(hermitize, M) <= 1.01 * superop_bytes(BUDGET_DIM)
 
 
 class TestIsPsd:

@@ -4,6 +4,7 @@ import pytest
 from conftest import fgr_rate_profile, general_heat_bath_bundle, \
     kron_commutator, random_density, random_hermitian, random_unitary, \
     scale_sector_amplitudes
+from oracles import correlation_h
 from cglind import scenarios
 from cglind.coarsegrain import CoarseGrainSchedule, T_of_lambda
 from cglind.generator import PreparedGenerator, expm, qds_certificate, \
@@ -164,8 +165,8 @@ class TestBathCorrelation:
                           schedule=CoarseGrainSchedule(0.4, 1.0, 1.0))
         corr = bath_correlation(m)
         assert corr.mean == pytest.approx(1.0, abs=1e-14)
-        assert abs(corr.h(0.0) - 1.0) < 1e-14
-        assert abs(corr.h(1.7) - 1.0) < 1e-14
+        assert abs(correlation_h(corr, 0.0) - 1.0) < 1e-14
+        assert abs(correlation_h(corr, 1.7) - 1.0) < 1e-14
         assert np.all(np.abs(corr.connected_weights) < 1e-14)
 
     def test_ground_state_single_line(self):
@@ -177,15 +178,16 @@ class TestBathCorrelation:
         main = np.argmax(corr.weights)
         assert corr.frequencies[main] == pytest.approx(-2.0, abs=1e-12)
         assert corr.weights[main] == pytest.approx(1.0, abs=1e-12)
-        assert complex(corr.h(1.0)) == pytest.approx(np.exp(-2.0j), abs=1e-10)
+        assert complex(correlation_h(corr, 1.0)) == pytest.approx(
+            np.exp(-2.0j), abs=1e-10)
 
     def test_zero_time_moment(self, rng):
         m = heat_bath_qutrit_model()
         corr = bath_correlation(m)
         sigma = m.bath_state()
         expected = np.trace(sigma @ m.Phi @ m.Phi).real
-        assert abs(float(corr.h(0.0).real) - expected) < 1e-12
-        assert abs(float(corr.h(0.0).imag)) < 1e-12
+        assert abs(float(correlation_h(corr, 0.0).real) - expected) < 1e-12
+        assert abs(float(correlation_h(corr, 0.0).imag)) < 1e-12
 
     def test_connected_correlation_identity(self):
         # rebuilt h(t1 - t2) - mean^2 equals the centered two-point function
@@ -195,7 +197,7 @@ class TestBathCorrelation:
         evals, evecs = np.linalg.eigh(m.H_B)
         hbar = corr.mean
         for t1, t2 in [(0.0, 0.0), (0.7, 0.2), (1.5, -0.4)]:
-            lhs = corr.h(t1 - t2) - hbar ** 2
+            lhs = correlation_h(corr, t1 - t2) - hbar ** 2
 
             def phi_t(t):
                 U = evecs @ np.diag(np.exp(1j * evals * t)) @ evecs.conj().T
@@ -299,9 +301,10 @@ class TestBathCombBytes:
         # is summed exactly as h at that one time
         corr = bath_correlation(scenarios.PRESETS["quasi-continuum"].builder())
         ts = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-        values = corr.h(ts)
+        values = correlation_h(corr, ts)
         assert values.shape == ts.shape
-        scalars = np.array([corr.h(t) for t in ts.ravel()]).reshape(ts.shape)
+        scalars = np.array([correlation_h(corr, t)
+                            for t in ts.ravel()]).reshape(ts.shape)
         assert values.tobytes() == scalars.tobytes()
 
 
